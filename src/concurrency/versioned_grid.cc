@@ -298,10 +298,21 @@ void ConcurrentTwoLayerGrid::Flush() {
 ConcurrentTwoLayerGrid::Snapshot ConcurrentTwoLayerGrid::Acquire() const {
   // Pin first, then load: the epoch argument (docs/CONCURRENCY.md) shows a
   // version loaded after the announcement cannot be freed while the pin
-  // lives.
+  // lives — and the version's shared_ptr keeps its base grid alive.
   EpochDomain::Guard guard = epoch_.Pin();
   const Version* v = published_.load();
-  return Snapshot(std::move(guard), v);
+  Snapshot snap(std::move(guard), v->base.get(), v->delta_end);
+  // Materialize the last-op-wins overlay of the unmerged window. Ops are
+  // replayed in log order, so the map holds each touched id's final state.
+  std::shared_ptr<const DeltaChunk> chunk = v->delta_head;
+  std::uint64_t base = v->head_base;
+  for (std::uint64_t idx = v->delta_begin; idx < v->delta_end; ++idx) {
+    SeekChunk(&chunk, &base, idx);
+    const DeltaOp& op = chunk->ops[idx - base];
+    snap.overlay_[op.entry.id] = Snapshot::OverlayEntry{
+        op.kind == DeltaOp::Kind::kInsert, op.entry.box};
+  }
+  return snap;
 }
 
 std::uint64_t ConcurrentTwoLayerGrid::published_seq() const {
@@ -309,22 +320,6 @@ std::uint64_t ConcurrentTwoLayerGrid::published_seq() const {
   // only happens in PublishLocked).
   MutexLock lock(writer_mu_);
   return published_.load()->delta_end;
-}
-
-ConcurrentTwoLayerGrid::Snapshot::Snapshot(EpochDomain::Guard guard,
-                                           const Version* version)
-    : guard_(std::move(guard)), version_(version) {
-  // Materialize the last-op-wins overlay of the unmerged window. Ops are
-  // replayed in log order, so the map holds each touched id's final state.
-  std::shared_ptr<const DeltaChunk> chunk = version->delta_head;
-  std::uint64_t base = version->head_base;
-  for (std::uint64_t idx = version->delta_begin; idx < version->delta_end;
-       ++idx) {
-    SeekChunk(&chunk, &base, idx);
-    const DeltaOp& op = chunk->ops[idx - base];
-    overlay_[op.entry.id] =
-        OverlayEntry{op.kind == DeltaOp::Kind::kInsert, op.entry.box};
-  }
 }
 
 EntryPredicate ConcurrentTwoLayerGrid::Snapshot::BaseKeep(
@@ -345,24 +340,52 @@ void ConcurrentTwoLayerGrid::Snapshot::WindowEntries(
   for (const Candidate& c : cands) {
     if (!Hidden(c.id)) out->push_back(BoxEntry{c.box, c.id});
   }
-  for (const auto& [id, oe] : overlay_) {
-    if (oe.present && oe.box.Intersects(w)) out->push_back(BoxEntry{oe.box, id});
-  }
+  ForEachOverlayEntry({}, [&](const BoxEntry& e) {
+    if (e.box.Intersects(w)) out->push_back(e);
+  });
   std::sort(out->begin(), out->end(), ById);
 }
 
 void ConcurrentTwoLayerGrid::Snapshot::WindowQuery(
-    const Box& w, std::vector<ObjectId>* out) const {
+    const Box& w, std::vector<ObjectId>* out,
+    const EntryPredicate& keep) const {
   out->clear();
-  if (overlay_.empty()) {
+  if (!keep && overlay_.empty()) {
     base().WindowQuery(w, out);
-    std::sort(out->begin(), out->end());
-    return;
+  } else {
+    std::vector<Candidate> cands;
+    base().WindowCandidates(w, &cands);
+    out->reserve(cands.size());
+    for (const Candidate& c : cands) {
+      if (!Hidden(c.id) && (!keep || keep(BoxEntry{c.box, c.id}))) {
+        out->push_back(c.id);
+      }
+    }
+    ForEachOverlayEntry(keep, [&](const BoxEntry& e) {
+      if (e.box.Intersects(w)) out->push_back(e.id);
+    });
   }
-  std::vector<BoxEntry> entries;
-  WindowEntries(w, &entries);
-  out->reserve(entries.size());
-  for (const BoxEntry& e : entries) out->push_back(e.id);
+  std::sort(out->begin(), out->end());
+}
+
+void ConcurrentTwoLayerGrid::Snapshot::DiskQuery(
+    const Point& q, Coord radius, std::vector<ObjectId>* out,
+    const EntryPredicate& keep) const {
+  out->clear();
+  if (!keep && overlay_.empty()) {
+    base().DiskQuery(q, radius, out);
+  } else {
+    std::vector<BoxEntry> entries;
+    base().DiskQueryEntries(q, radius, &entries);
+    out->reserve(entries.size());
+    for (const BoxEntry& e : entries) {
+      if (!Hidden(e.id) && (!keep || keep(e))) out->push_back(e.id);
+    }
+    ForEachOverlayEntry(keep, [&](const BoxEntry& e) {
+      if (e.box.MinDistanceTo(q) <= radius) out->push_back(e.id);
+    });
+  }
+  std::sort(out->begin(), out->end());
 }
 
 void ConcurrentTwoLayerGrid::Snapshot::DiskQueryEntries(
@@ -371,11 +394,9 @@ void ConcurrentTwoLayerGrid::Snapshot::DiskQueryEntries(
   base().DiskQueryEntries(q, radius, out);
   if (!overlay_.empty()) {
     std::erase_if(*out, [this](const BoxEntry& e) { return Hidden(e.id); });
-    for (const auto& [id, oe] : overlay_) {
-      if (oe.present && oe.box.MinDistanceTo(q) <= radius) {
-        out->push_back(BoxEntry{oe.box, id});
-      }
-    }
+    ForEachOverlayEntry({}, [&](const BoxEntry& e) {
+      if (e.box.MinDistanceTo(q) <= radius) out->push_back(e);
+    });
   }
   std::sort(out->begin(), out->end(), ById);
 }
@@ -389,12 +410,9 @@ std::vector<RankedEntry> ConcurrentTwoLayerGrid::Snapshot::KnnEntries(
   std::vector<RankedEntry> pool =
       tlp::KnnEntries(base(), q, k, BaseKeep(keep));
   if (overlay_.empty()) return pool;
-  for (const auto& [id, oe] : overlay_) {
-    if (!oe.present) continue;
-    const BoxEntry e{oe.box, id};
-    if (keep && !keep(e)) continue;
+  ForEachOverlayEntry(keep, [&](const BoxEntry& e) {
     pool.push_back(RankedEntry{e, e.box.MinDistanceTo(q)});
-  }
+  });
   std::sort(pool.begin(), pool.end(), ByRank);
   if (pool.size() > k) pool.resize(k);
   return pool;
@@ -409,15 +427,12 @@ std::vector<SkylineEntry> ConcurrentTwoLayerGrid::Snapshot::SkylineQuery(
   std::vector<SkylineEntry> cands =
       tlp::SkylineQuery(base(), q, region, BaseKeep(keep));
   if (overlay_.empty()) return cands;
-  for (const auto& [id, oe] : overlay_) {
-    if (!oe.present) continue;
-    if (region != nullptr && !oe.box.Intersects(*region)) continue;
-    const BoxEntry e{oe.box, id};
-    if (keep && !keep(e)) continue;
+  ForEachOverlayEntry(keep, [&](const BoxEntry& e) {
+    if (region != nullptr && !e.box.Intersects(*region)) return;
     cands.push_back(
         SkylineEntry{e, SkylineAxisDistance(e.box.xl, e.box.xu, q.x),
                      SkylineAxisDistance(e.box.yl, e.box.yu, q.y)});
-  }
+  });
   std::vector<SkylineEntry> sky;
   for (const SkylineEntry& c : cands) {
     const bool dominated =

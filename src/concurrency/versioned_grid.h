@@ -8,6 +8,7 @@
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -160,11 +161,13 @@ class ConcurrentTwoLayerGrid {
   /// base grid (the published delta window is empty).
   void Flush() TLP_EXCLUDES(writer_mu_);
 
-  /// A pinned, immutable view: epoch guard + Version + materialized
-  /// last-op-wins overlay of the version's delta window. Queries mirror
-  /// the sequential index's result contracts exactly (order included).
-  /// Movable; keep it only as long as the query runs — a long-lived
-  /// Snapshot stalls memory reclamation.
+  /// An immutable view: base grid + materialized last-op-wins overlay of
+  /// a delta window, plus the epoch pin that keeps both alive. Queries
+  /// mirror the sequential index's result contracts exactly (order
+  /// included). This is the one read surface: Acquire() returns a pinned
+  /// view of the published version, Of() an unpinned view of a plain
+  /// grid. Movable; keep it only as long as the query runs — a long-lived
+  /// pinned Snapshot stalls memory reclamation.
   class Snapshot {
    public:
     Snapshot(Snapshot&&) = default;
@@ -172,17 +175,31 @@ class ConcurrentTwoLayerGrid {
     Snapshot(const Snapshot&) = delete;
     Snapshot& operator=(const Snapshot&) = delete;
 
+    /// A non-owning view of `grid` as a version with an empty overlay:
+    /// unpinned, seq() == 0, nothing copied — how a read-only index joins
+    /// the snapshot read path. No epoch protects `grid`: the caller keeps
+    /// it alive and unmodified for as long as the Snapshot exists.
+    [[nodiscard]] static Snapshot Of(const TwoLayerGrid& grid) {
+      return Snapshot(EpochDomain::Guard(), &grid, 0);
+    }
+
     /// Logical sequence number: total update ops visible to this view.
-    [[nodiscard]] std::uint64_t seq() const { return version_->delta_end; }
-    /// The published base grid (excludes the delta overlay).
-    [[nodiscard]] const TwoLayerGrid& base() const { return *version_->base; }
+    [[nodiscard]] std::uint64_t seq() const { return seq_; }
+    /// The base grid (excludes the delta overlay).
+    [[nodiscard]] const TwoLayerGrid& base() const { return *base_; }
     /// Distinct object ids touched by the unmerged delta window.
     [[nodiscard]] std::size_t overlay_size() const { return overlay_.size(); }
 
-    /// Ids of live objects intersecting `w`, sorted ascending.
-    void WindowQuery(const Box& w, std::vector<ObjectId>* out) const;
+    /// Ids of live objects intersecting `w` and matching `keep`, sorted
+    /// ascending.
+    void WindowQuery(const Box& w, std::vector<ObjectId>* out,
+                     const EntryPredicate& keep = {}) const;
     /// Entries of live objects intersecting `w`, sorted by id.
     void WindowEntries(const Box& w, std::vector<BoxEntry>* out) const;
+    /// Ids of live objects with MinDistanceTo(q) <= radius matching
+    /// `keep`, sorted ascending.
+    void DiskQuery(const Point& q, Coord radius, std::vector<ObjectId>* out,
+                   const EntryPredicate& keep = {}) const;
     /// Entries of live objects with MinDistanceTo(q) <= radius, sorted by
     /// id.
     void DiskQueryEntries(const Point& q, Coord radius,
@@ -211,7 +228,9 @@ class ConcurrentTwoLayerGrid {
       Box box;
     };
 
-    Snapshot(EpochDomain::Guard guard, const Version* version);
+    Snapshot(EpochDomain::Guard guard, const TwoLayerGrid* grid,
+             std::uint64_t sequence)
+        : guard_(std::move(guard)), base_(grid), seq_(sequence) {}
 
     /// True iff the overlay overrides object `id` (hides its base entry).
     bool Hidden(ObjectId id) const {
@@ -219,9 +238,21 @@ class ConcurrentTwoLayerGrid {
     }
     /// `keep` composed with the overlay hide-filter, for base-grid probes.
     EntryPredicate BaseKeep(const EntryPredicate& keep) const;
+    /// Calls `emit(entry)` for every entry the overlay (re)inserted that
+    /// matches `keep`.
+    template <typename Emit>
+    void ForEachOverlayEntry(const EntryPredicate& keep, Emit&& emit) const {
+      for (const auto& [id, oe] : overlay_) {
+        if (!oe.present) continue;
+        const BoxEntry e{oe.box, id};
+        if (!keep || keep(e)) emit(e);
+      }
+    }
 
     EpochDomain::Guard guard_;
-    const Version* version_;
+    /// Kept alive by the pinned version (Acquire) or by the caller (Of).
+    const TwoLayerGrid* base_;
+    std::uint64_t seq_;
     std::unordered_map<ObjectId, OverlayEntry> overlay_;
   };
 

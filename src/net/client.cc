@@ -9,6 +9,9 @@ Status QueryClient::Connect(const std::string& host, std::uint16_t port) {
 
 Status QueryClient::Execute(std::string_view query, Reply* reply) {
   if (!fd_.valid()) return Status::InvalidArgument("not connected");
+  if (query.size() > kMaxFrameBytes) {
+    return Status::InvalidArgument("statement exceeds the frame cap");
+  }
   if (Status s = WriteAll(fd_.get(), EncodeFrame(query)); !s.ok()) {
     fd_.reset();
     return s;

@@ -26,7 +26,9 @@ class QueryClient {
 
   /// Sends one query and blocks for its reply. A BUSY or ERR reply is a
   /// SUCCESSFUL round-trip (inspect reply->kind); a failed Status means
-  /// the connection itself broke and the client must reconnect.
+  /// the connection itself broke and the client must reconnect — except
+  /// kInvalidArgument for a statement over kMaxFrameBytes, which is
+  /// refused before anything is sent.
   [[nodiscard]] Status Execute(std::string_view query, Reply* reply);
 
   void Close() { fd_.reset(); }

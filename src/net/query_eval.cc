@@ -1,6 +1,5 @@
 #include "net/query_eval.h"
 
-#include <algorithm>
 #include <cstdint>
 
 #include "common/query_stats.h"
@@ -12,29 +11,15 @@ namespace tlp::net {
 
 namespace {
 
-const char* StatsLabel(QueryKind kind) {
-  switch (kind) {
-    case QueryKind::kWindow: return "serve/window";
-    case QueryKind::kDisk: return "serve/disk";
-    case QueryKind::kKnn: return "serve/knn";
-    case QueryKind::kSkyline: return "serve/skyline";
-    case QueryKind::kDivKnn: return "serve/divknn";
-    case QueryKind::kInsert: return "serve/insert";
-    case QueryKind::kDelete: return "serve/delete";
-    case QueryKind::kWalStats: return "serve/walstats";
-  }
-  return "serve/?";
-}
-
 /// The WALSTATS result: deterministic key-sorted `key value` rows so
 /// clients (bench_serve, the kill-restart smoke) can diff two servers'
 /// durability state textually.
-void EmitWalStats(const ConcurrentTwoLayerGrid& live,
-                  std::vector<std::string>* rows) {
+Status EmitWalStats(const ConcurrentTwoLayerGrid& live, EvalResult* out) {
+  *out = {};
   const DurableLog* wal = live.wal();
   const WalStats stats = wal != nullptr ? wal->stats() : WalStats{};
-  const auto row = [rows](const char* key, std::uint64_t value) {
-    rows->push_back(std::string(key) + " " + std::to_string(value));
+  const auto row = [out](const char* key, std::uint64_t value) {
+    out->rows.push_back(std::string(key) + " " + std::to_string(value));
   };
   row("appends", stats.appends);
   row("bytes_logged", stats.bytes_logged);
@@ -47,6 +32,29 @@ void EmitWalStats(const ConcurrentTwoLayerGrid& live,
   row("published_seq", live.published_seq());
   row("rotations", stats.rotations);
   row("wal_attached", wal != nullptr ? 1 : 0);
+  return Status::OK();
+}
+
+/// INSERT / DELETE through the writer path; the single reply row is "1"
+/// (applied) or "0" (duplicate id / not found).
+Status ApplyUpdate(ConcurrentTwoLayerGrid& live, const Query& q,
+                   EvalResult* out) {
+  *out = {};
+  if (q.id >= kInvalidObjectId) {
+    return Status::InvalidArgument("object id out of range");
+  }
+  const ObjectId id = static_cast<ObjectId>(q.id);
+  // The durable path: with a WAL attached the op is logged and
+  // group-commit fsynced before OK comes back, so the "1"/"0" reply is a
+  // durable acknowledgment; a WAL failure surfaces as ERR and the client
+  // must not count the op as accepted.
+  bool applied = false;
+  const Status s = q.kind == QueryKind::kInsert
+                       ? live.InsertDurable(BoxEntry{q.box, id}, &applied)
+                       : live.DeleteDurable(id, q.box, &applied);
+  if (!s.ok()) return s;
+  out->rows.push_back(applied ? "1" : "0");
+  return Status::OK();
 }
 
 /// Shared k/fetch sanity ceiling: they size the result or pool the server
@@ -78,14 +86,71 @@ std::string SkylineRow(const SkylineEntry& s) {
   return row;
 }
 
-/// Filters (id, box) candidates through `keep`, emits ids in ascending
-/// order — the shared tail of WINDOW and DISK evaluation.
-void EmitIdRows(const std::vector<ObjectId>& ids,
-                std::vector<std::string>* rows) {
-  std::vector<ObjectId> sorted = ids;
-  std::sort(sorted.begin(), sorted.end());
-  rows->reserve(sorted.size());
-  for (const ObjectId id : sorted) rows->push_back(IdRow(id));
+/// One formatted row per result, in the order the probe returned them.
+template <typename T, typename Format>
+void EmitRows(const std::vector<T>& results, Format format,
+              std::vector<std::string>* rows) {
+  rows->reserve(results.size());
+  for (const T& r : results) rows->push_back(format(r));
+}
+
+/// The one read evaluator. `snap` is a live index's pinned version or
+/// Snapshot::Of a read-only grid; either way the Snapshot probes already
+/// return the reply order, so nothing here sorts.
+Status EvaluateRead(const ConcurrentTwoLayerGrid::Snapshot& snap,
+                    const Query& q, EvalResult* out) {
+  if (Status s = CheckCounts(q); !s.ok()) return s;
+  *out = {};
+  if (q.with_stats) ResetQueryStats();
+  const EntryPredicate keep = CompileWhere(q.where.get());
+  const char* stats_label = "";  // names the WITH STATS line
+
+  switch (q.kind) {
+    case QueryKind::kWindow: {
+      stats_label = "serve/window";
+      std::vector<ObjectId> ids;
+      if (!q.box.IsEmpty()) snap.WindowQuery(q.box, &ids, keep);
+      EmitRows(ids, IdRow, &out->rows);
+      break;
+    }
+    case QueryKind::kDisk: {
+      stats_label = "serve/disk";
+      std::vector<ObjectId> ids;
+      snap.DiskQuery(q.point, q.radius, &ids, keep);
+      EmitRows(ids, IdRow, &out->rows);
+      break;
+    }
+    case QueryKind::kKnn:
+      stats_label = "serve/knn";
+      EmitRows(snap.KnnEntries(q.point, static_cast<std::size_t>(q.k), keep),
+               RankedRow, &out->rows);
+      break;
+    case QueryKind::kSkyline:
+      stats_label = "serve/skyline";
+      EmitRows(snap.SkylineQuery(q.point, q.has_region ? &q.box : nullptr,
+                                 keep),
+               SkylineRow, &out->rows);
+      break;
+    case QueryKind::kDivKnn: {
+      stats_label = "serve/divknn";
+      DivKnnOptions opts;
+      opts.k = static_cast<std::size_t>(q.k);
+      if (q.has_fetch) opts.fetch = static_cast<std::size_t>(q.fetch);
+      if (q.has_lambda) opts.lambda = q.lambda;
+      EmitRows(snap.DiversifiedKnnQuery(q.point, opts, keep), RankedRow,
+               &out->rows);
+      break;
+    }
+    case QueryKind::kInsert:
+    case QueryKind::kDelete:
+    case QueryKind::kWalStats:
+      return Status::InvalidArgument("not a read statement");
+  }
+
+  if (q.with_stats && kQueryStatsEnabled) {
+    out->stats_json = GetQueryStats().ToJson(stats_label);
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -149,185 +214,14 @@ Status EvaluateQuery(const TwoLayerGrid& grid, const Query& q,
     return Status::InvalidArgument(
         "read-only index: WALSTATS needs a live server (tlp_serve --live)");
   }
-  if (Status s = CheckCounts(q); !s.ok()) return s;
-
-  out->rows.clear();
-  out->stats_json.clear();
-  if (q.with_stats) ResetQueryStats();
-  const EntryPredicate keep = CompileWhere(q.where.get());
-
-  switch (q.kind) {
-    case QueryKind::kWindow: {
-      std::vector<ObjectId> ids;
-      if (!q.box.IsEmpty()) {
-        if (q.where == nullptr) {
-          grid.WindowQuery(q.box, &ids);
-        } else {
-          std::vector<Candidate> candidates;
-          grid.WindowCandidates(q.box, &candidates);
-          for (const Candidate& c : candidates) {
-            if (keep(BoxEntry{c.box, c.id})) ids.push_back(c.id);
-          }
-        }
-      }
-      EmitIdRows(ids, &out->rows);
-      break;
-    }
-    case QueryKind::kDisk: {
-      std::vector<BoxEntry> entries;
-      grid.DiskQueryEntries(q.point, q.radius, &entries);
-      std::vector<ObjectId> ids;
-      ids.reserve(entries.size());
-      for (const BoxEntry& e : entries) {
-        if (!keep || keep(e)) ids.push_back(e.id);
-      }
-      EmitIdRows(ids, &out->rows);
-      break;
-    }
-    case QueryKind::kKnn: {
-      const auto results =
-          KnnEntries(grid, q.point, static_cast<std::size_t>(q.k), keep);
-      out->rows.reserve(results.size());
-      for (const RankedEntry& r : results) {
-        out->rows.push_back(RankedRow(r));
-      }
-      break;
-    }
-    case QueryKind::kSkyline: {
-      const Box* region = q.has_region ? &q.box : nullptr;
-      const auto sky = SkylineQuery(grid, q.point, region, keep);
-      out->rows.reserve(sky.size());
-      for (const SkylineEntry& s : sky) {
-        out->rows.push_back(SkylineRow(s));
-      }
-      break;
-    }
-    case QueryKind::kDivKnn: {
-      DivKnnOptions opts;
-      opts.k = static_cast<std::size_t>(q.k);
-      if (q.has_fetch) opts.fetch = static_cast<std::size_t>(q.fetch);
-      if (q.has_lambda) opts.lambda = q.lambda;
-      const auto results = DiversifiedKnnQuery(grid, q.point, opts, keep);
-      out->rows.reserve(results.size());
-      for (const RankedEntry& r : results) {
-        out->rows.push_back(RankedRow(r));
-      }
-      break;
-    }
-    case QueryKind::kInsert:
-    case QueryKind::kDelete:
-    case QueryKind::kWalStats:
-      break;  // rejected by the early returns above
-  }
-
-  if (q.with_stats && kQueryStatsEnabled) {
-    out->stats_json = GetQueryStats().ToJson(StatsLabel(q.kind));
-  }
-  return Status::OK();
+  return EvaluateRead(ConcurrentTwoLayerGrid::Snapshot::Of(grid), q, out);
 }
 
 Status EvaluateQuery(ConcurrentTwoLayerGrid& live, const Query& q,
                      EvalResult* out) {
-  if (Status s = CheckCounts(q); !s.ok()) return s;
-
-  out->rows.clear();
-  out->stats_json.clear();
-
-  if (IsUpdate(q.kind)) {
-    if (q.id >= kInvalidObjectId) {
-      return Status::InvalidArgument("object id out of range");
-    }
-    const ObjectId id = static_cast<ObjectId>(q.id);
-    // The durable path: with a WAL attached the op is logged and
-    // group-commit fsynced before OK comes back, so the "1"/"0" reply is a
-    // durable acknowledgment; a WAL failure surfaces as ERR and the client
-    // must not count the op as accepted.
-    bool applied = false;
-    const Status s = q.kind == QueryKind::kInsert
-                         ? live.InsertDurable(BoxEntry{q.box, id}, &applied)
-                         : live.DeleteDurable(id, q.box, &applied);
-    if (!s.ok()) return s;
-    out->rows.push_back(applied ? "1" : "0");
-    return Status::OK();
-  }
-
-  if (q.kind == QueryKind::kWalStats) {
-    EmitWalStats(live, &out->rows);
-    return Status::OK();
-  }
-
-  if (q.with_stats) ResetQueryStats();
-  const EntryPredicate keep = CompileWhere(q.where.get());
-  const ConcurrentTwoLayerGrid::Snapshot snap = live.Acquire();
-
-  switch (q.kind) {
-    case QueryKind::kWindow: {
-      std::vector<ObjectId> ids;
-      if (!q.box.IsEmpty()) {
-        if (q.where == nullptr) {
-          snap.WindowQuery(q.box, &ids);
-        } else {
-          std::vector<BoxEntry> entries;
-          snap.WindowEntries(q.box, &entries);
-          for (const BoxEntry& e : entries) {
-            if (keep(e)) ids.push_back(e.id);
-          }
-        }
-      }
-      EmitIdRows(ids, &out->rows);
-      break;
-    }
-    case QueryKind::kDisk: {
-      std::vector<BoxEntry> entries;
-      snap.DiskQueryEntries(q.point, q.radius, &entries);
-      std::vector<ObjectId> ids;
-      ids.reserve(entries.size());
-      for (const BoxEntry& e : entries) {
-        if (!keep || keep(e)) ids.push_back(e.id);
-      }
-      EmitIdRows(ids, &out->rows);
-      break;
-    }
-    case QueryKind::kKnn: {
-      const auto results =
-          snap.KnnEntries(q.point, static_cast<std::size_t>(q.k), keep);
-      out->rows.reserve(results.size());
-      for (const RankedEntry& r : results) {
-        out->rows.push_back(RankedRow(r));
-      }
-      break;
-    }
-    case QueryKind::kSkyline: {
-      const Box* region = q.has_region ? &q.box : nullptr;
-      const auto sky = snap.SkylineQuery(q.point, region, keep);
-      out->rows.reserve(sky.size());
-      for (const SkylineEntry& s : sky) {
-        out->rows.push_back(SkylineRow(s));
-      }
-      break;
-    }
-    case QueryKind::kDivKnn: {
-      DivKnnOptions opts;
-      opts.k = static_cast<std::size_t>(q.k);
-      if (q.has_fetch) opts.fetch = static_cast<std::size_t>(q.fetch);
-      if (q.has_lambda) opts.lambda = q.lambda;
-      const auto results = snap.DiversifiedKnnQuery(q.point, opts, keep);
-      out->rows.reserve(results.size());
-      for (const RankedEntry& r : results) {
-        out->rows.push_back(RankedRow(r));
-      }
-      break;
-    }
-    case QueryKind::kInsert:
-    case QueryKind::kDelete:
-    case QueryKind::kWalStats:
-      break;  // handled above
-  }
-
-  if (q.with_stats && kQueryStatsEnabled) {
-    out->stats_json = GetQueryStats().ToJson(StatsLabel(q.kind));
-  }
-  return Status::OK();
+  if (IsUpdate(q.kind)) return ApplyUpdate(live, q, out);
+  if (q.kind == QueryKind::kWalStats) return EmitWalStats(live, out);
+  return EvaluateRead(live.Acquire(), q, out);
 }
 
 }  // namespace tlp::net

@@ -33,16 +33,25 @@ struct EvalResult {
   std::string stats_json;
 };
 
-/// Evaluates `q` against `grid`. WITH STATS resets and reads the calling
-/// thread's TLP_STATS accumulator, so the reported counters cover exactly
-/// this query. Returns kInvalidArgument for resource-insane parameters
-/// (k or fetch beyond 2^32) — the "eval" error class on the wire.
+/// There is one read path: both overloads below evaluate every read over
+/// a ConcurrentTwoLayerGrid::Snapshot, through the same internal
+/// evaluator. A read-only grid enters as Snapshot::Of(grid) — an unpinned
+/// view with an empty overlay that copies nothing, valid only while the
+/// grid it views is alive — and a live index as Acquire().
+///
+/// WITH STATS resets and reads the calling thread's TLP_STATS accumulator,
+/// so the reported counters cover exactly this query. Resource-insane
+/// parameters (k or fetch beyond 2^32) return kInvalidArgument — the
+/// "eval" error class on the wire.
+
+/// Evaluates `q` against a read-only `grid`. INSERT, DELETE and WALSTATS
+/// get kInvalidArgument ("read-only index: ...").
 [[nodiscard]] Status EvaluateQuery(const TwoLayerGrid& grid, const Query& q,
                                    EvalResult* out);
 
-/// Evaluates `q` against a live (concurrent) index. Reads acquire one
-/// epoch-pinned snapshot and see (published version + unmerged delta) —
-/// exact, duplicate-free, same row formats as the read-only overload.
+/// Evaluates `q` against a live (concurrent) index. Reads see one
+/// epoch-pinned snapshot (published version + unmerged delta) — exact,
+/// duplicate-free, same rows as the read-only overload on the same set.
 /// Updates (INSERT / DELETE) apply through the writer path and reply with
 /// a single row: "1" (inserted / found and deleted) or "0" (duplicate id /
 /// not found).

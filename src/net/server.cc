@@ -287,11 +287,21 @@ void QueryServer::ExecuteOnWorker(Conn* c, std::string payload) {
           reply = EncodeErrReply("eval", 0, s.message());
         } else {
           reply = EncodeOkReply(result.rows, result.stats_json);
-          ok_reply = true;
-          // "1" = applied; a "0" (duplicate insert / delete of a missing
-          // id) answered OK but changed nothing, so it does not count.
-          update_applied = IsUpdate(q.kind) && !result.rows.empty() &&
-                           result.rows.front() == "1";
+          if (reply.size() > kMaxFrameBytes) {
+            // Every client's decoder drops an oversized frame as a protocol
+            // error; a bounded ERR keeps the connection usable.
+            reply = EncodeErrReply(
+                "eval", 0,
+                "reply of " + std::to_string(reply.size()) +
+                    " bytes exceeds the frame cap of " +
+                    std::to_string(kMaxFrameBytes) + " bytes");
+          } else {
+            ok_reply = true;
+            // "1" = applied; a "0" (duplicate insert / delete of a missing
+            // id) answered OK but changed nothing, so it does not count.
+            update_applied = IsUpdate(q.kind) && !result.rows.empty() &&
+                             result.rows.front() == "1";
+          }
         }
       }
     } catch (const std::exception& e) {

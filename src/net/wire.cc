@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstring>
+#include <stdexcept>
 
 namespace tlp::net {
 
@@ -57,6 +58,11 @@ bool ParseU64(std::string_view word, std::uint64_t* out) {
 }  // namespace
 
 std::string EncodeFrame(std::string_view payload) {
+  if (payload.size() > kMaxFrameBytes) {
+    throw std::length_error("frame payload of " +
+                            std::to_string(payload.size()) +
+                            " bytes exceeds kMaxFrameBytes");
+  }
   std::string frame;
   frame.reserve(kHeaderBytes + payload.size());
   const std::uint32_t len = static_cast<std::uint32_t>(payload.size());

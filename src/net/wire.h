@@ -24,12 +24,16 @@ namespace tlp::net {
 ///                     byte offset into the query text (0 when meaningless)
 ///   BUSY              admission control shed the query; retry later
 ///
-/// Frames above kMaxFrameBytes are a protocol violation: the server drops
-/// the connection rather than buffering unboundedly.
+/// Frames above kMaxFrameBytes are a protocol violation in either
+/// direction: the server drops a connection that declares one rather than
+/// buffering unboundedly, and it answers a reply that would exceed the cap
+/// with an ERR instead.
 
 inline constexpr std::size_t kMaxFrameBytes = 1u << 20;
 
-/// Frames `payload` for the socket: 4-byte length prefix + bytes.
+/// Frames `payload` for the socket: 4-byte length prefix + bytes. Throws
+/// std::length_error for a payload over kMaxFrameBytes — no decoder would
+/// accept that frame — so senders check the cap first.
 [[nodiscard]] std::string EncodeFrame(std::string_view payload);
 
 /// Incremental frame reassembly for one connection/stream. Feed raw bytes

@@ -134,6 +134,8 @@ void ExpectSnapshotMatchesOracle(const ConcurrentTwoLayerGrid& live,
                                  const std::string& context) {
   const ConcurrentTwoLayerGrid::Snapshot snap = live.Acquire();
   Rng rng(query_seed);
+  // A WHERE-style filter: restricts every probe's input set to odd ids.
+  const EntryPredicate keep = [](const BoxEntry& e) { return e.id % 2 == 1; };
 
   for (const Box& w : testing::RandomWindows(8, query_seed)) {
     std::vector<ObjectId> expected;
@@ -148,6 +150,16 @@ void ExpectSnapshotMatchesOracle(const ConcurrentTwoLayerGrid& live,
       // without any post-hoc dedup pass.
       EXPECT_EQ(GetQueryStats().posthoc_dedup, 0u) << context;
     }
+
+    std::vector<Candidate> candidates;
+    oracle.WindowCandidates(w, &candidates);
+    std::vector<ObjectId> expected_kept;
+    for (const Candidate& c : candidates) {
+      if (keep(BoxEntry{c.box, c.id})) expected_kept.push_back(c.id);
+    }
+    std::sort(expected_kept.begin(), expected_kept.end());
+    snap.WindowQuery(w, &actual, keep);
+    EXPECT_EQ(actual, expected_kept) << context << " window keep";
   }
 
   for (int t = 0; t < 6; ++t) {
@@ -168,10 +180,23 @@ void ExpectSnapshotMatchesOracle(const ConcurrentTwoLayerGrid& live,
       EXPECT_EQ(actual_entries[i].box, expected_entries[i].box)
           << context << " disk entry " << i;
     }
+    std::vector<ObjectId> expected_ids;
+    std::vector<ObjectId> expected_kept;
+    for (const BoxEntry& e : expected_entries) {
+      expected_ids.push_back(e.id);
+      if (keep(e)) expected_kept.push_back(e.id);
+    }
+    std::vector<ObjectId> ids;
+    snap.DiskQuery(q, radius, &ids);
+    EXPECT_EQ(ids, expected_ids) << context << " disk ids";
+    snap.DiskQuery(q, radius, &ids, keep);
+    EXPECT_EQ(ids, expected_kept) << context << " disk keep";
 
     const std::size_t k = 1 + static_cast<std::size_t>(rng.NextDouble() * 12);
     EXPECT_EQ(snap.KnnEntries(q, k), KnnEntries(oracle, q, k))
         << context << " knn k=" << k;
+    EXPECT_EQ(snap.KnnEntries(q, k, keep), KnnEntries(oracle, q, k, keep))
+        << context << " knn keep k=" << k;
 
     EXPECT_EQ(snap.SkylineQuery(q), [&] {
       auto sky = SkylineQuery(oracle, q);
@@ -293,6 +318,23 @@ TEST(ConcurrentGridTest, SnapshotOutlivesSupersedingMerge) {
   std::vector<ObjectId> now;
   fresh.WindowQuery(kUnit, &now);
   EXPECT_EQ(now.size(), before.size() + 100);
+}
+
+TEST(ConcurrentGridTest, SnapshotOfPlainGridIsAView) {
+  TwoLayerGrid grid(Layout());
+  grid.Build(testing::RandomEntries(400, 0.05, 85));
+  const auto snap = ConcurrentTwoLayerGrid::Snapshot::Of(grid);
+  EXPECT_EQ(&snap.base(), &grid);  // nothing copied
+  EXPECT_EQ(snap.seq(), 0u);
+  EXPECT_EQ(snap.overlay_size(), 0u);
+  for (const Box& w : testing::RandomWindows(8, 86)) {
+    std::vector<ObjectId> expected;
+    grid.WindowQuery(w, &expected);
+    std::sort(expected.begin(), expected.end());
+    std::vector<ObjectId> actual;
+    snap.WindowQuery(w, &actual);
+    EXPECT_EQ(actual, expected);
+  }
 }
 
 TEST(ConcurrentGridTest, RetiredVersionsDrainOnceUnpinned) {

@@ -6,6 +6,8 @@
 // ephemeral ports) keep every scenario deterministic.
 
 #include <atomic>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +16,7 @@
 
 #include "common/mutex.h"
 #include "common/query_stats.h"
+#include "common/rng.h"
 #include "common/thread_annotations.h"
 #include "concurrency/versioned_grid.h"
 #include "core/two_layer_grid.h"
@@ -71,6 +74,15 @@ TEST(WireTest, OversizedFrameOverflowsInsteadOfBuffering) {
   EXPECT_TRUE(decoder.overflowed());
 }
 
+TEST(WireTest, EncodeRefusesPayloadsOverTheCap) {
+  // A u32 prefix cannot carry every size_t, and no decoder accepts a frame
+  // over the cap: encoding one must fail loudly, not truncate the length.
+  EXPECT_EQ(EncodeFrame(std::string(kMaxFrameBytes, 'x')).size(),
+            kMaxFrameBytes + 4);
+  EXPECT_THROW((void)EncodeFrame(std::string(kMaxFrameBytes + 1, 'x')),
+               std::length_error);
+}
+
 TEST(WireTest, ReplyEncodingRoundTrips) {
   Reply r;
   ASSERT_TRUE(ParseReply(EncodeOkReply({"1", "2 0.5", "3"}, ""), &r));
@@ -108,6 +120,25 @@ TEST(WireTest, MalformedRepliesAreRejected) {
 }
 
 // --- live server -------------------------------------------------------------
+
+/// Read statements of every kind, with every WHERE form: each comparison
+/// operator, AND, OR, NOT and parentheses.
+const char* const kReadCorpus[] = {
+    "SELECT WINDOW 0.2 0.2 0.6 0.6",
+    "SELECT WINDOW 0 0 1 1 WHERE ID < 300 AND AREA > 0.0001",
+    "SELECT DISK 0.5 0.5 0.15",
+    "SELECT DISK 0.9 0.1 0.2 WHERE WIDTH > 0.01",
+    "SELECT KNN 0.5 0.5 25",
+    "SELECT KNN 0.05 0.95 7 WHERE ID >= 600",
+    "SELECT SKYLINE 0.4 0.6",
+    "SELECT SKYLINE 0.5 0.5 IN 0.25 0.25 0.75 0.75",
+    "SELECT DIVKNN 0.5 0.5 10 LAMBDA 0.4",
+    "SELECT DIVKNN 0.2 0.8 6 LAMBDA 0.9 FETCH 48 WHERE ID != 11",
+    "SELECT WINDOW 0.1 0.1 0.9 0.9 WHERE NOT (XL <= 0.3 OR YU >= 0.7)",
+    "SELECT DISK 0.3 0.6 0.25 WHERE HEIGHT <= 0.02 OR ID = 5",
+    "SELECT KNN 0.7 0.3 12 WHERE NOT XU < 0.5",
+    "SELECT SKYLINE 0.6 0.4 WHERE YL > 0.1 AND (WIDTH < 0.02 OR XU >= 0.9)",
+};
 
 /// A grid + running server on an ephemeral loopback port.
 class ServerTest : public ::testing::Test {
@@ -149,19 +180,7 @@ TEST_F(ServerTest, RepliesMatchDirectEvaluation) {
   StartServer();
   Go();
   QueryClient client = Connected();
-  const char* queries[] = {
-      "SELECT WINDOW 0.2 0.2 0.6 0.6",
-      "SELECT WINDOW 0 0 1 1 WHERE ID < 300 AND AREA > 0.0001",
-      "SELECT DISK 0.5 0.5 0.15",
-      "SELECT DISK 0.9 0.1 0.2 WHERE WIDTH > 0.01",
-      "SELECT KNN 0.5 0.5 25",
-      "SELECT KNN 0.05 0.95 7 WHERE ID >= 600",
-      "SELECT SKYLINE 0.4 0.6",
-      "SELECT SKYLINE 0.5 0.5 IN 0.25 0.25 0.75 0.75",
-      "SELECT DIVKNN 0.5 0.5 10 LAMBDA 0.4",
-      "SELECT DIVKNN 0.2 0.8 6 LAMBDA 0.9 FETCH 48 WHERE ID != 11",
-  };
-  for (const char* text : queries) {
+  for (const char* text : kReadCorpus) {
     Query q;
     ParseError perr;
     ASSERT_TRUE(ParseQuery(text, &q, &perr)) << text;
@@ -173,7 +192,7 @@ TEST_F(ServerTest, RepliesMatchDirectEvaluation) {
     ASSERT_EQ(reply.kind, Reply::Kind::kOk) << text;
     EXPECT_EQ(reply.rows, direct.rows) << text;
   }
-  EXPECT_EQ(AwaitOkCount(std::size(queries)), std::size(queries));
+  EXPECT_EQ(AwaitOkCount(std::size(kReadCorpus)), std::size(kReadCorpus));
   EXPECT_EQ(server_->counters().queries_error, 0u);
 }
 
@@ -391,6 +410,41 @@ TEST_F(ServerTest, OversizedRequestFrameDropsTheConnection) {
   EXPECT_EQ(server_->counters().protocol_errors, 1u);
 }
 
+TEST(ServerLimitsTest, OversizedReplyIsAnErrorAndTheConnectionSurvives) {
+  // A whole-domain WINDOW over 200k objects lists every id: ~1.3 MB of
+  // rows, over the frame cap every client's decoder enforces.
+  TwoLayerGrid grid(GridLayout(Box{0, 0, 1, 1}, 64, 64));
+  grid.Build(testing::RandomEntries(200'000, 0.002, 996));
+  QueryServer server(grid, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  QueryClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  Reply reply;
+  ASSERT_TRUE(client.Execute("SELECT WINDOW 0 0 1 1", &reply).ok());
+  ASSERT_EQ(reply.kind, Reply::Kind::kErr);
+  EXPECT_EQ(reply.error_class, "eval");
+  EXPECT_EQ(reply.error_offset, 0u);
+  EXPECT_NE(reply.error_message.find("bytes exceeds the frame cap of " +
+                                     std::to_string(kMaxFrameBytes)),
+            std::string::npos)
+      << reply.error_message;
+
+  // A statement over the cap is refused client-side, before sending.
+  EXPECT_EQ(client.Execute(std::string(kMaxFrameBytes + 1, ' '), &reply)
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  // The same connection still answers.
+  ASSERT_TRUE(client.Execute("SELECT KNN 0.5 0.5 3", &reply).ok());
+  ASSERT_EQ(reply.kind, Reply::Kind::kOk);
+  EXPECT_EQ(reply.rows.size(), 3u);
+  server.Shutdown();
+  EXPECT_EQ(server.counters().queries_error, 1u);
+  EXPECT_EQ(server.counters().queries_ok, 1u);
+  EXPECT_EQ(server.counters().protocol_errors, 0u);
+}
+
 /// Gate where each Block() waits for its own ReleaseOne() ticket, so a
 /// test can hold several queries in sequence through one hook.
 struct TicketGate {
@@ -553,6 +607,84 @@ TEST(LiveServerTest, InsertDeleteRoundTripAndVisibility) {
   EXPECT_EQ(server.counters().updates_applied, 2u);
   EXPECT_EQ(server.counters().queries_ok, 6u);
   EXPECT_EQ(live.live_count(), 200u);
+}
+
+std::string BoxText(const Box& b) {
+  return FormatNumber(b.xl) + " " + FormatNumber(b.yl) + " " +
+         FormatNumber(b.xu) + " " + FormatNumber(b.yu);
+}
+
+/// Every corpus read evaluated on `live` must reply exactly what the
+/// read-only overload replies on `oracle`.
+void ExpectLiveRepliesMatchReadOnly(ConcurrentTwoLayerGrid& live,
+                                    const TwoLayerGrid& oracle,
+                                    const std::string& context) {
+  for (const char* text : kReadCorpus) {
+    Query q;
+    ParseError perr;
+    ASSERT_TRUE(ParseQuery(text, &q, &perr)) << text;
+    EvalResult got;
+    EvalResult want;
+    ASSERT_TRUE(EvaluateQuery(live, q, &got).ok()) << text;
+    ASSERT_TRUE(EvaluateQuery(oracle, q, &want).ok()) << text;
+    EXPECT_EQ(got.rows, want.rows) << context << ": " << text;
+  }
+}
+
+TEST(LiveServerTest, LiveRepliesMatchReadOnlyRepliesOnTheSameSet) {
+  const auto data = testing::RandomEntries(1200, 0.03, 991);
+  const GridLayout layout(Box{0, 0, 1, 1}, 16, 16);
+  TwoLayerGrid oracle(layout);
+  oracle.Build(data);
+  TwoLayerGrid base(layout);
+  base.Build(data);
+  ConcurrentTwoLayerGrid::Options copts;
+  copts.merge_threshold = std::numeric_limits<std::size_t>::max();
+  ConcurrentTwoLayerGrid live(std::move(base), copts);
+
+  // A scripted batch through the live statement path: delete every 5th
+  // base object, re-insert a third of those with new boxes, insert fresh
+  // ids, then delete a few of the fresh ones again (last op wins).
+  Rng rng(997);
+  const auto random_box = [&rng] {
+    const double x = rng.NextDouble() * 0.97;
+    const double y = rng.NextDouble() * 0.97;
+    return Box{x, y, x + rng.NextDouble() * 0.03, y + rng.NextDouble() * 0.03};
+  };
+  const auto apply = [&live](const std::string& text) {
+    Query q;
+    ParseError perr;
+    ASSERT_TRUE(ParseQuery(text, &q, &perr)) << text;
+    EvalResult r;
+    ASSERT_TRUE(EvaluateQuery(live, q, &r).ok()) << text;
+    EXPECT_EQ(r.rows, std::vector<std::string>{"1"}) << text;
+  };
+  for (ObjectId id = 0; id < data.size(); id += 5) {
+    apply("DELETE " + std::to_string(id) + " " + BoxText(data[id].box));
+    ASSERT_TRUE(oracle.Delete(id, data[id].box));
+  }
+  for (ObjectId id = 0; id < data.size(); id += 15) {
+    const BoxEntry e{random_box(), id};
+    apply("INSERT " + std::to_string(id) + " " + BoxText(e.box));
+    oracle.Insert(e);
+  }
+  std::vector<BoxEntry> fresh;
+  for (ObjectId id = 5000; id < 5150; ++id) {
+    fresh.push_back(BoxEntry{random_box(), id});
+    apply("INSERT " + std::to_string(id) + " " + BoxText(fresh.back().box));
+    oracle.Insert(fresh.back());
+  }
+  for (std::size_t i = 0; i < fresh.size(); i += 10) {
+    apply("DELETE " + std::to_string(fresh[i].id) + " " +
+          BoxText(fresh[i].box));
+    ASSERT_TRUE(oracle.Delete(fresh[i].id, fresh[i].box));
+  }
+
+  ASSERT_GT(live.Acquire().overlay_size(), 0u);
+  ExpectLiveRepliesMatchReadOnly(live, oracle, "unmerged overlay");
+  live.Flush();
+  ASSERT_EQ(live.Acquire().overlay_size(), 0u);
+  ExpectLiveRepliesMatchReadOnly(live, oracle, "after Flush");
 }
 
 TEST(LiveServerTest, ReadOnlyServerRejectsUpdates) {
