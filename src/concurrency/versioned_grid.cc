@@ -420,27 +420,17 @@ std::vector<RankedEntry> ConcurrentTwoLayerGrid::Snapshot::KnnEntries(
 
 std::vector<SkylineEntry> ConcurrentTwoLayerGrid::Snapshot::SkylineQuery(
     const Point& q, const Box* region, const EntryPredicate& keep) const {
-  // skyline(base' ∪ delta) ⊆ skyline(base') ∪ delta, where base' is the
-  // base with overridden ids hidden *before* dominance runs (a hidden
-  // entry must not evict anything). One base skyline plus a small
-  // brute-force pass over the union is therefore exact.
-  std::vector<SkylineEntry> cands =
+  // skyline(base' ∪ delta) = skyline(skyline(base') ∪ delta), where base'
+  // is the base with overridden ids hidden *before* dominance runs (a
+  // hidden entry must not evict anything). So the base skyline is a valid
+  // starting state for the same incremental step the base query runs.
+  std::vector<SkylineEntry> sky =
       tlp::SkylineQuery(base(), q, region, BaseKeep(keep));
-  if (overlay_.empty()) return cands;
+  if (overlay_.empty()) return sky;
   ForEachOverlayEntry(keep, [&](const BoxEntry& e) {
     if (region != nullptr && !e.box.Intersects(*region)) return;
-    cands.push_back(
-        SkylineEntry{e, SkylineAxisDistance(e.box.xl, e.box.xu, q.x),
-                     SkylineAxisDistance(e.box.yl, e.box.yu, q.y)});
+    SkylineAdmit(e, q, &sky);
   });
-  std::vector<SkylineEntry> sky;
-  for (const SkylineEntry& c : cands) {
-    const bool dominated =
-        std::any_of(cands.begin(), cands.end(), [&](const SkylineEntry& o) {
-          return SkylineDominates(o.dx, o.dy, c.dx, c.dy);
-        });
-    if (!dominated) sky.push_back(c);
-  }
   std::sort(sky.begin(), sky.end(),
             [](const SkylineEntry& a, const SkylineEntry& b) {
               return a.entry.id < b.entry.id;

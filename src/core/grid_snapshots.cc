@@ -123,9 +123,9 @@ Status TwoLayerGrid::LoadSnapshotSections(const SnapshotReader& reader,
 
   layout_ = layout;
   tiles_ = std::move(tiles);
-  // Occupancy is derived state, not a snapshot section: rebuilding from the
-  // begin arrays is O(tiles) and touches no entry pages, so mapped loads
-  // stay O(pages touched) and the file format is unchanged.
+  // Occupancy, the class-A extents and the out-of-domain flag are derived
+  // state, not snapshot sections: rebuilding them reads each class-A entry
+  // once and keeps the file format unchanged.
   RebuildOccupancy();
   // A mapped load leaves the entry columns viewing the read-only mapping;
   // freeze so Build/Insert/Delete fail loudly instead of faulting.

@@ -15,25 +15,6 @@ std::vector<SkylineEntry> SkylineQuery(const TwoLayerGrid& grid,
 
   const GridLayout& g = grid.layout();
 
-  // Feeds one candidate through the incremental skyline: reject it if a
-  // kept point dominates it, else admit it and evict what it dominates.
-  // The skyline of a set is unique, so arrival order never changes the
-  // final contents — only how much pruning the tile bounds achieve.
-  const auto consider = [&](const BoxEntry& e) {
-    TLP_STATS_ADD(comparisons, 1);
-    if (region != nullptr && !e.box.Intersects(*region)) return;
-    if (keep && !keep(e)) return;
-    const Coord dx = SkylineAxisDistance(e.box.xl, e.box.xu, q.x);
-    const Coord dy = SkylineAxisDistance(e.box.yl, e.box.yu, q.y);
-    for (const SkylineEntry& s : sky) {
-      if (SkylineDominates(s.dx, s.dy, dx, dy)) return;
-    }
-    std::erase_if(sky, [&](const SkylineEntry& s) {
-      return SkylineDominates(dx, dy, s.dx, s.dy);
-    });
-    sky.push_back(SkylineEntry{e, dx, dy});
-  };
-
   // Candidate tiles: the class-A partitions hold every object exactly
   // once. A region prunes the tile rectangle from above: an object
   // intersecting the region starts at or before its upper corner, and
@@ -46,54 +27,49 @@ std::vector<SkylineEntry> SkylineQuery(const TwoLayerGrid& grid,
     jmax = g.RowOf(region->yu);
   }
 
-  // Per-tile attribute lower bounds. Class-A entries of tile (i, j) start
-  // inside the tile, so their (dx, dy) are bounded below by the distance
-  // from q to the tile's lower corner — relaxed by one full tile so that
-  // (a) the ulp gap between the multiplicative tile origin and the
-  // floor-based cell mapping (see core/classes.h) and (b) out-of-domain
-  // entries clamped into border tiles (column/row 0) can never make the
-  // bound optimistic. Sorting by bound lets early skyline points prune
-  // whole tiles before their entries are ever scanned.
-  struct TileRef {
-    Coord lbx, lby, key;
-    std::uint32_t i, j;
-  };
-  std::vector<TileRef> tiles;
-  for (std::uint32_t j = 0; j <= jmax; ++j) {
-    for (std::uint32_t i = 0; i <= imax; ++i) {
-      if (grid.ClassSpan(i, j, ObjectClass::kA).second == 0) continue;
-      const Coord lbx =
-          i == 0 ? 0
-                 : std::max(Coord{0}, g.TileOrigin(i - 1, j).x - q.x);
-      const Coord lby =
-          j == 0 ? 0
-                 : std::max(Coord{0}, g.TileOrigin(i, j - 1).y - q.y);
-      tiles.push_back(TileRef{lbx, lby, lbx + lby, i, j});
-    }
-  }
-  std::sort(tiles.begin(), tiles.end(),
-            [](const TileRef& a, const TileRef& b) {
-              if (a.key != b.key) return a.key < b.key;
-              if (a.j != b.j) return a.j < b.j;
-              return a.i < b.i;
-            });
-
-  for (const TileRef& t : tiles) {
-    bool tile_dominated = false;
+  // Scans tile (i, j)'s class-A entries unless its extent rules them out.
+  // Every class-A entry lies inside the extent, so the extent's (dx, dy)
+  // is <= every entry's: a kept point dominating it dominates the whole
+  // tile, and an extent missing the region holds no entry meeting it.
+  const auto visit = [&](std::uint32_t i, std::uint32_t j) {
+    const Box& ext = grid.ClassAExtent(i, j);
+    if (region != nullptr && !ext.Intersects(*region)) return;
+    const Coord lbx = SkylineAxisDistance(ext.xl, ext.xu, q.x);
+    const Coord lby = SkylineAxisDistance(ext.yl, ext.yu, q.y);
     for (const SkylineEntry& s : sky) {
-      // s dominates EVERY possible attribute point >= (lbx, lby) of this
-      // tile, so no entry in it can survive: skip without scanning.
-      if (s.dx <= t.lbx && s.dy <= t.lby &&
-          (s.dx < t.lbx || s.dy < t.lby)) {
-        tile_dominated = true;
-        break;
-      }
+      if (SkylineDominates(s.dx, s.dy, lbx, lby)) return;
     }
-    if (tile_dominated) continue;
-    const auto span = grid.ClassSpan(t.i, t.j, ObjectClass::kA);
+    const auto span = grid.ClassSpan(i, j, ObjectClass::kA);
+    if (span.second == 0) return;
     TLP_STATS_ADD(tiles_visited, 1);
     TLP_STATS_CLASS_SCANNED(ObjectClass::kA, span.second);
-    for (std::size_t n = 0; n < span.second; ++n) consider(span.first[n]);
+    for (std::size_t n = 0; n < span.second; ++n) {
+      const BoxEntry& e = span.first[n];
+      TLP_STATS_ADD(comparisons, 1);
+      if (region != nullptr && !e.box.Intersects(*region)) continue;
+      if (keep && !keep(e)) continue;
+      SkylineAdmit(e, q, &sky);
+    }
+  };
+
+  // Seed the skyline from q's tile and its 8 neighbours, which hold the
+  // nearest entries of a dense index, then sweep the rest row-major.
+  const std::uint32_t qi = g.ColumnOf(q.x);
+  const std::uint32_t qj = g.RowOf(q.y);
+  const std::uint32_t si0 = qi == 0 ? 0 : qi - 1;
+  const std::uint32_t sj0 = qj == 0 ? 0 : qj - 1;
+  const std::uint32_t si1 = std::min(qi + 1, imax);
+  const std::uint32_t sj1 = std::min(qj + 1, jmax);
+  const auto seeded = [&](std::uint32_t i, std::uint32_t j) {
+    return si0 <= i && i <= si1 && sj0 <= j && j <= sj1;
+  };
+  for (std::uint32_t j = sj0; j <= sj1; ++j) {
+    for (std::uint32_t i = si0; i <= si1; ++i) visit(i, j);
+  }
+  for (std::uint32_t j = 0; j <= jmax; ++j) {
+    for (std::uint32_t i = 0; i <= imax; ++i) {
+      if (!seeded(i, j)) visit(i, j);
+    }
   }
 
   std::sort(sky.begin(), sky.end(),

@@ -12,8 +12,8 @@ namespace tlp {
 
 /// Minimum distance from coordinate v to the closed interval [lo, hi];
 /// 0 when inside. One axis of Box::MinDistanceTo, without the hypot.
-/// Exposed so the concurrency overlay computes delta candidates' skyline
-/// attributes with exactly the expression the base query uses.
+/// Monotone in the interval: widening [lo, hi] never increases it, which
+/// makes it an exact lower bound when applied to a tile's class-A extent.
 inline Coord SkylineAxisDistance(Coord lo, Coord hi, Coord v) {
   return std::max({lo - v, Coord{0}, v - hi});
 }
@@ -39,6 +39,25 @@ struct SkylineEntry {
   }
 };
 
+/// One incremental skyline step for candidate `e` against query point `q`:
+/// if a point kept in `sky` dominates e's attributes, `sky` is left as is;
+/// otherwise every kept point e dominates is evicted and e is appended.
+/// The skyline of a set is unique, so feeding a set through this in any
+/// order leaves exactly its skyline (unsorted) in `sky` — and feeding
+/// skyline(S) plus a set D leaves skyline(S ∪ D).
+inline void SkylineAdmit(const BoxEntry& e, const Point& q,
+                         std::vector<SkylineEntry>* sky) {
+  const Coord dx = SkylineAxisDistance(e.box.xl, e.box.xu, q.x);
+  const Coord dy = SkylineAxisDistance(e.box.yl, e.box.yu, q.y);
+  for (const SkylineEntry& s : *sky) {
+    if (SkylineDominates(s.dx, s.dy, dx, dy)) return;
+  }
+  std::erase_if(*sky, [&](const SkylineEntry& s) {
+    return SkylineDominates(dx, dy, s.dx, s.dy);
+  });
+  sky->push_back(SkylineEntry{e, dx, dy});
+}
+
 /// Skyline query over a two-layer grid: the objects not dominated in the
 /// (dx, dy) attribute space. Object a dominates b iff a.dx <= b.dx and
 /// a.dy <= b.dy with at least one strict; objects with identical (dx, dy)
@@ -52,11 +71,17 @@ struct SkylineEntry {
 /// `region` they come from WindowCandidates, duplicate-free by Lemmas 1-4.
 /// No post-hoc deduplication ever runs (asserted via TLP_STATS in tests).
 ///
-/// Index acceleration: class-A entries of tile T satisfy r.xl >= T.xl and
-/// r.yl >= T.yl, so (max(0, T.xl - q.x), max(0, T.yl - q.y)) lower-bounds
-/// every entry's (dx, dy) in the tile. Tiles are visited in ascending
-/// lower-bound order and a tile whose bound is already dominated by a
-/// found skyline point is skipped without scanning its entries.
+/// Index acceleration: each tile keeps the bounding box of its class-A
+/// entries (TwoLayerGrid::ClassAExtent), so the extent's own (dx, dy)
+/// lower-bounds every entry's (dx, dy) in the tile — exactly, with the
+/// same expression, wherever the tile lies relative to q and for entries
+/// clamped in from outside the domain. q's tile and its 8 neighbours are
+/// scanned first to seed the skyline, then one row-major pass skips every
+/// tile whose bound a found skyline point dominates without touching its
+/// entries. The visit order only changes how much is pruned. A tile
+/// holding an entry with a NaN coordinate has an unbounded extent and is
+/// always scanned: a NaN attribute is never dominated, so such an entry
+/// is always in the skyline. q must be finite.
 ///
 /// `region`, when non-null, restricts the input to objects whose MBR
 /// intersects it (closed intervals, like WindowQuery). `keep`, when

@@ -9,23 +9,54 @@
 
 namespace tlp {
 
+namespace {
+
+bool HasNaN(const Box& b) {
+  return std::isnan(b.xl) || std::isnan(b.yl) || std::isnan(b.xu) ||
+         std::isnan(b.yu);
+}
+
+Box Unbounded() {
+  constexpr Coord inf = std::numeric_limits<Coord>::infinity();
+  return Box{-inf, -inf, inf, inf};
+}
+
+}  // namespace
+
 TwoLayerGrid::TwoLayerGrid(const GridLayout& layout)
-    : layout_(layout), tiles_(layout.tile_count()) {
+    : layout_(layout),
+      tiles_(layout.tile_count()),
+      class_a_extent_(layout.tile_count(), Box::Empty()) {
   occupancy_.Reset(tiles_.size());
 }
 
 void TwoLayerGrid::RebuildOccupancy() {
   occupancy_.Reset(tiles_.size());
+  class_a_extent_.assign(tiles_.size(), Box::Empty());
   has_out_of_domain_ = false;
+  const std::size_t a = SegmentOf(ObjectClass::kA);
   for (std::size_t t = 0; t < tiles_.size(); ++t) {
-    if (tiles_[t].empty()) continue;
+    const Tile& tile = tiles_[t];
+    if (tile.empty()) continue;
     occupancy_.Set(t);
-    for (const BoxEntry& e : tiles_[t].entries) {
-      if (!InDomain(e.box)) {
-        has_out_of_domain_ = true;
-        break;
-      }
+    // Every stored object is class A of exactly one tile, so the class-A
+    // segments alone see each object once for the out-of-domain flag.
+    for (std::uint32_t k = tile.begin[a]; k < tile.begin[a + 1]; ++k) {
+      const Box& b = tile.entries[k].box;
+      GrowClassAExtent(t, b);
+      if (!InDomain(b)) has_out_of_domain_ = true;
     }
+  }
+}
+
+void TwoLayerGrid::GrowClassAExtent(std::size_t tile_id, const Box& b) {
+  Box& ext = class_a_extent_[tile_id];
+  // ExpandToInclude would silently skip a NaN coordinate (std::min/max
+  // keep the non-NaN side), leaving a bound the entry does not obey.
+  if (HasNaN(b)) {
+    ext = Unbounded();
+  } else {
+    ext.ExpandToInclude(b);
   }
 }
 
@@ -222,6 +253,9 @@ void TwoLayerGrid::Insert(const BoxEntry& entry) {
       }
       v[tile.begin[seg + 1]] = entry;
       for (std::size_t k = seg + 1; k <= kNumClasses; ++k) ++tile.begin[k];
+      if (seg == SegmentOf(ObjectClass::kA)) {
+        GrowClassAExtent(tile_id, entry.box);
+      }
     }
   }
 }
@@ -545,7 +579,8 @@ void TwoLayerGrid::DiskQueryEntries(const Point& q, Coord radius,
 }
 
 std::size_t TwoLayerGrid::SizeBytes() const {
-  std::size_t bytes = tiles_.capacity() * sizeof(Tile);
+  std::size_t bytes = tiles_.capacity() * sizeof(Tile) +
+                      class_a_extent_.capacity() * sizeof(Box);
   for (const Tile& tile : tiles_) {
     bytes += tile.entries.footprint_bytes();
   }
@@ -567,6 +602,7 @@ std::size_t TwoLayerGrid::ClassCount(std::uint32_t i, std::uint32_t j,
 
 bool TwoLayerGrid::CheckInvariants() const {
   if (occupancy_.bit_count() != tiles_.size()) return false;
+  if (class_a_extent_.size() != tiles_.size()) return false;
   for (std::uint32_t j = 0; j < layout_.ny(); ++j) {
     for (std::uint32_t i = 0; i < layout_.nx(); ++i) {
       const Tile& tile = tiles_[layout_.TileId(i, j)];
@@ -589,6 +625,15 @@ bool TwoLayerGrid::CheckInvariants() const {
               ClassifyEntryInTile(layout_, i, j, tile.entries[k].box);
           if (SegmentOf(c) != s) return false;
         }
+      }
+      // The class-A extent must bound every class-A box, or the skyline's
+      // tile pruning would skip entries it has to consider. No extent
+      // Contains a NaN box, so only an unbounded one admits it.
+      const Box& ext = class_a_extent_[layout_.TileId(i, j)];
+      if (ext == Unbounded()) continue;
+      const std::size_t a = SegmentOf(ObjectClass::kA);
+      for (std::uint32_t k = tile.begin[a]; k < tile.begin[a + 1]; ++k) {
+        if (!ext.Contains(tile.entries[k].box)) return false;
       }
     }
   }

@@ -144,11 +144,19 @@ class TwoLayerGrid final : public PersistentIndex {
                                                     std::uint32_t j,
                                                     ObjectClass c) const;
 
+  /// Bounding box of tile (i, j)'s class-A entries, or a superset of it
+  /// (empty, unbounded and post-Delete cases: class_a_extent_). The
+  /// skyline query prunes tiles with it.
+  const Box& ClassAExtent(std::uint32_t i, std::uint32_t j) const {
+    return class_a_extent_[layout_.TileId(i, j)];
+  }
+
   /// Full structural check of every tile's segmented vector: begin[0] == 0,
   /// begin[] monotone, begin[kNumClasses] == entries.size(), and every entry
   /// stored in the segment of its class — plus the occupancy bitset agreeing
-  /// with every tile's emptiness. O(total entries); for tests — the
-  /// Insert/Delete rotation logic must preserve all five properties.
+  /// with every tile's emptiness and the class-A extent containing every
+  /// class-A box of its tile (or being unbounded). O(total entries); for
+  /// tests — the Insert/Delete logic must preserve all six properties.
   bool CheckInvariants() const;
 
   /// Per-tile occupancy bits (set iff the tile holds entries); queries use
@@ -180,11 +188,16 @@ class TwoLayerGrid final : public PersistentIndex {
   /// Rejects updates while frozen (mapped); throws std::logic_error.
   void RequireMutable(const char* op) const;
 
-  /// Recomputes the occupancy bitset and the out-of-domain flag from the
-  /// tiles. O(entries); used after bulk loads and snapshot loads (both are
+  /// Recomputes the occupancy bitset, the class-A extents and the
+  /// out-of-domain flag from the tiles in one pass over the class-A
+  /// segments (every stored object is class A in exactly one tile).
+  /// O(entries); used after bulk loads and snapshot loads (all three are
   /// derived state and not persisted — rebuilding keeps the snapshot format
   /// unchanged).
   void RebuildOccupancy();
+
+  /// Grows tile `tile_id`'s class-A extent to cover `b` (class_a_extent_).
+  void GrowClassAExtent(std::size_t tile_id, const Box& b);
 
   /// True iff `b` lies entirely inside the declared domain (NaN coordinates
   /// count as outside). Entries failing this are CLAMPED into border tiles
@@ -216,6 +229,16 @@ class TwoLayerGrid final : public PersistentIndex {
   GridLayout layout_;
   std::vector<Tile> tiles_;
   OccupancyBitset occupancy_;
+  /// Per-tile bounding box of the tile's class-A entries, parallel to
+  /// tiles_ and kept flat so a skyline sweep streams 32 bytes per tile
+  /// without touching the tiles themselves. Box::Empty() for a tile with
+  /// no class-A entry; unbounded once a class-A box with a NaN coordinate
+  /// lands in the tile (its skyline attribute is NaN, never dominated, so
+  /// no finite bound may prune it). Insert grows it; Delete leaves it
+  /// alone, because a superset is still a valid bound — sticky like
+  /// has_out_of_domain_. Recomputed exactly by RebuildOccupancy on
+  /// bulk/snapshot loads; not persisted.
+  std::vector<Box> class_a_extent_;
   /// True if any stored entry lies (partly) outside the declared domain.
   /// Such entries are clamped into border tiles whose boxes do not bound
   /// them, so disk queries must treat border tiles conservatively: no

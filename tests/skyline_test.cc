@@ -7,6 +7,8 @@
 #include "core/skyline.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -160,8 +162,8 @@ TEST(SkylineTest, ContainingObjectsDominateEverythingElse) {
 
 TEST(SkylineTest, OutOfDomainEntriesAreStillConsidered) {
   auto data = testing::RandomEntries(150, 0.05, 420);
-  // Clamped into border tiles; the tile lower bounds must stay
-  // conservative for these (column/row 0 bounds are forced to 0).
+  // Clamped into border tiles they do not overlap; the class-A extents
+  // of those tiles include the clamped boxes themselves.
   const Box outliers[] = {Box{-30, 0.2, -29, 0.4}, Box{0.3, 77, 0.4, 78},
                           Box{12, -9, 13, -8}, Box{-5, -5, -4.5, -4.5}};
   ObjectId next = 150;
@@ -210,13 +212,10 @@ TEST(SkylineTest, NeverDeduplicatesPostHoc) {
 TEST(SkylineTest, TilePruningSkipsTiles) {
   if (!kQueryStatsEnabled) GTEST_SKIP() << "built with TLP_STATS=OFF";
   // Dense small objects everywhere and the query at the domain's lower
-  // corner: the per-tile bound (distance from q to the tile's lower
-  // corner) is positive for almost every tile, so an early nearby
-  // skyline point should dominate most tiles' bounds and the sweep must
-  // visit far fewer tiles than exist while staying exact. (A centered
-  // query would leave the bound vacuous — (0,0) — for every tile left of
-  // or below it: class A constrains where an MBR *starts*, which says
-  // nothing about how close its far edge comes to the query.)
+  // corner: the per-tile bound (the distance from q to the tile's class-A
+  // extent) is positive for almost every tile, so an early nearby skyline
+  // point should dominate most tiles' bounds and the sweep must visit far
+  // fewer tiles than exist while staying exact.
   const auto data = testing::RandomEntries(3000, 0.002, 424,
                                            /*point_fraction=*/0.5);
   TwoLayerGrid grid(GridLayout(kUnit, 32, 32));
@@ -228,6 +227,115 @@ TEST(SkylineTest, TilePruningSkipsTiles) {
   EXPECT_EQ(got, BruteForceSkyline(data, q));
   EXPECT_LT(s.tiles_visited, 32u * 32u / 2)
       << "lower-bound pruning never fired";
+}
+
+TEST(SkylineTest, TilePruningSkipsTilesAroundACentredQuery) {
+  if (!kQueryStatsEnabled) GTEST_SKIP() << "built with TLP_STATS=OFF";
+  // Class A constrains where an MBR starts, not how far it reaches, so a
+  // bound taken from the tile's position alone is (0, 0) for every tile
+  // left of or below a centred query. The class-A extent bounds where the
+  // tile's entries actually reach: only tiles whose entries come close to
+  // q on one axis survive the nearby skyline points.
+  const auto data = testing::RandomEntries(3000, 0.002, 424,
+                                           /*point_fraction=*/0.5);
+  TwoLayerGrid grid(GridLayout(kUnit, 32, 32));
+  grid.Build(data);
+  const Point q{0.5, 0.5};
+  ResetQueryStats();
+  const auto got = SkylineQuery(grid, q);
+  const QueryStats s = GetQueryStats();
+  EXPECT_EQ(got, BruteForceSkyline(data, q));
+  EXPECT_LT(s.tiles_visited, 32u * 32u / 10)
+      << "the extent bound pruned too little around a centred query";
+}
+
+// NaN attributes compare false both ways, so SkylineEntry::operator== and
+// EXPECT_EQ cannot match them; equal here means equal or both NaN.
+bool SameCoord(Coord a, Coord b) {
+  return a == b || (std::isnan(a) && std::isnan(b));
+}
+
+void ExpectSameSkyline(const std::vector<SkylineEntry>& got,
+                       const std::vector<SkylineEntry>& want,
+                       const Point& q) {
+  ASSERT_EQ(got.size(), want.size()) << "q=(" << q.x << "," << q.y << ")";
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    const SkylineEntry& a = got[k];
+    const SkylineEntry& b = want[k];
+    EXPECT_EQ(a.entry.id, b.entry.id) << "q=(" << q.x << "," << q.y << ")";
+    EXPECT_TRUE(SameCoord(a.entry.box.xl, b.entry.box.xl) &&
+                SameCoord(a.entry.box.yl, b.entry.box.yl) &&
+                SameCoord(a.entry.box.xu, b.entry.box.xu) &&
+                SameCoord(a.entry.box.yu, b.entry.box.yu) &&
+                SameCoord(a.dx, b.dx) && SameCoord(a.dy, b.dy))
+        << "id " << a.entry.id << " q=(" << q.x << "," << q.y << ")";
+  }
+}
+
+TEST(SkylineTest, EntriesWithNaNCoordinatesAreAlwaysReported) {
+  // The library accepts NaN coordinates (only the wire parser rejects
+  // them). A NaN attribute is never dominated, so such an entry belongs
+  // to every skyline; no tile bound may prune the tile holding it.
+  constexpr Coord nan = std::numeric_limits<Coord>::quiet_NaN();
+  auto data = testing::RandomEntries(2000, 0.05, 425);
+  ObjectId next = 2000;
+  data.push_back(BoxEntry{Box{0.2, nan, 0.3, nan}, next++});    // NaN y
+  data.push_back(BoxEntry{Box{0.71, nan, 0.74, nan}, next++});  // NaN y
+  data.push_back(BoxEntry{Box{nan, 0.6, nan, 0.62}, next++});   // NaN x
+  data.push_back(BoxEntry{Box{nan, 0.05, nan, 0.1}, next++});   // NaN x
+  TwoLayerGrid grid(GridLayout(kUnit, 16, 16));
+  grid.Build(data);
+  ASSERT_TRUE(grid.CheckInvariants());
+  const Point queries[] = {Point{0.05, 0.95}, Point{0.5, 0.5},
+                           Point{0.95, 0.05}, Point{0.01, 0.01},
+                           Point{0.99, 0.99}, Point{-3, 0.4}};
+  for (const Point& q : queries) {
+    const auto got = SkylineQuery(grid, q);
+    ExpectSameSkyline(got, BruteForceSkyline(data, q), q);
+    for (ObjectId id = 2000; id < next; ++id) {
+      EXPECT_TRUE(std::any_of(got.begin(), got.end(),
+                              [&](const SkylineEntry& s) {
+                                return s.entry.id == id;
+                              }))
+          << "NaN entry " << id << " lost at q=(" << q.x << "," << q.y
+          << ")";
+    }
+  }
+}
+
+TEST(SkylineTest, WideInsertsReachingTheQueryFromFarTilesAreFound) {
+  // Objects whose class-A tile (their lower corner) lies far left of or
+  // below q while their far edge comes close to q: only the Insert-grown
+  // extents make their tiles' bounds small enough to be scanned. After
+  // the deletes the extents stay loose supersets, which must stay exact.
+  auto data = testing::RandomEntries(1500, 0.02, 426);
+  TwoLayerGrid grid(GridLayout(kUnit, 16, 16));
+  grid.Build(data);
+  const BoxEntry wide[] = {
+      BoxEntry{Box{0.01, 0.74, 0.795, 0.76}, 5000},  // from column 0
+      BoxEntry{Box{0.74, 0.02, 0.76, 0.799}, 5001},  // from row 0
+      BoxEntry{Box{0.03, 0.05, 0.79, 0.79}, 5002},   // from tile (0, 0)
+      BoxEntry{Box{0.1, 0.78, 0.85, 0.81}, 5003},    // straddles q.y
+  };
+  const Point queries[] = {Point{0.8, 0.8}, Point{0.81, 0.79},
+                           Point{0.5, 0.9}};
+  const auto check = [&](const char* stage) {
+    ASSERT_TRUE(grid.CheckInvariants()) << stage;
+    for (const Point& q : queries) {
+      EXPECT_EQ(SkylineQuery(grid, q), BruteForceSkyline(data, q))
+          << stage << " q=(" << q.x << "," << q.y << ")";
+    }
+  };
+  for (const BoxEntry& e : wide) {
+    grid.Insert(e);
+    data.push_back(e);
+  }
+  check("after inserts");
+  for (const BoxEntry& e : wide) {
+    ASSERT_TRUE(grid.Delete(e.id, e.box));
+    std::erase_if(data, [&](const BoxEntry& d) { return d.id == e.id; });
+  }
+  check("after deletes");
 }
 
 }  // namespace

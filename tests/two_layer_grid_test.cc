@@ -1,5 +1,6 @@
 #include "core/two_layer_grid.h"
 
+#include <limits>
 #include <tuple>
 
 #include "gtest/gtest.h"
@@ -46,6 +47,41 @@ TEST(TwoLayerGridTest, SingleObjectAllWindowPositions) {
       }
     }
   }
+}
+
+TEST(TwoLayerGridTest, ClassAExtentBoundsTheClassAEntries) {
+  TwoLayerGrid grid(GridLayout(kUnit, 4, 4));
+  const Box r{0.3, 0.3, 0.7, 0.7};  // class A in (1,1) only
+  grid.Build({BoxEntry{r, 7}});
+  EXPECT_EQ(grid.ClassAExtent(1, 1), r);
+  EXPECT_TRUE(grid.ClassAExtent(2, 1).IsEmpty());  // holds r as class C
+  EXPECT_TRUE(grid.ClassAExtent(0, 0).IsEmpty());
+
+  // Insert grows the extent of the class-A tile only.
+  const Box s{0.26, 0.4, 0.3, 0.45};
+  grid.Insert(BoxEntry{s, 8});
+  EXPECT_EQ(grid.ClassAExtent(1, 1), (Box{0.26, 0.3, 0.7, 0.7}));
+  EXPECT_TRUE(grid.CheckInvariants());
+
+  // Delete keeps the (now loose) superset; a rebuild makes it exact again.
+  ASSERT_TRUE(grid.Delete(7, r));
+  EXPECT_EQ(grid.ClassAExtent(1, 1), (Box{0.26, 0.3, 0.7, 0.7}));
+  EXPECT_TRUE(grid.CheckInvariants());
+  grid.Build({BoxEntry{s, 8}});
+  EXPECT_EQ(grid.ClassAExtent(1, 1), s);
+
+  // A NaN coordinate makes the tile's extent unbounded, on both paths.
+  constexpr Coord nan = std::numeric_limits<Coord>::quiet_NaN();
+  constexpr Coord inf = std::numeric_limits<Coord>::infinity();
+  const Box unbounded{-inf, -inf, inf, inf};
+  const BoxEntry odd{Box{0.3, nan, 0.4, nan}, 9};  // class A in (1,0)
+  grid.Insert(odd);
+  EXPECT_EQ(grid.ClassAExtent(1, 0), unbounded);
+  EXPECT_TRUE(grid.CheckInvariants());
+  grid.Build({BoxEntry{s, 8}, odd});
+  EXPECT_EQ(grid.ClassAExtent(1, 0), unbounded);
+  EXPECT_EQ(grid.ClassAExtent(1, 1), s);
+  EXPECT_TRUE(grid.CheckInvariants());
 }
 
 TEST(TwoLayerGridTest, BuildMatchesIncrementalInsert) {
