@@ -133,30 +133,25 @@ inline std::vector<Method> CoreMethods() {
 /// thread's current accumulator, divided by iteration count) to a finished
 /// benchmark state. These land in the google-benchmark JSON/console output
 /// next to timings, giving the paper's Table II lens — comparisons and
-/// partitions touched per query — per registered method. No-op (and no
-/// counters emitted) when the stats layer is compiled out.
+/// partitions touched per query — per registered method.
 inline void AttachQueryStatsCounters(benchmark::State& state,
                                      const QueryStats& before) {
-  (void)state;
-  (void)before;
-  if constexpr (kQueryStatsEnabled) {
-    const QueryStats now = GetQueryStats();
-    const auto n = static_cast<double>(state.iterations());
-    auto per_query = [n](std::uint64_t now_v, std::uint64_t before_v) {
-      return static_cast<double>(now_v - before_v) / n;
-    };
-    state.counters["tiles_pq"] =
-        per_query(now.tiles_visited, before.tiles_visited);
-    state.counters["scanned_pq"] =
-        per_query(now.scanned_total(), before.scanned_total());
-    state.counters["cmp_pq"] = per_query(now.comparisons, before.comparisons);
-    state.counters["probes_pq"] =
-        per_query(now.binary_search_probes, before.binary_search_probes);
-    state.counters["dup_avoided_pq"] =
-        per_query(now.duplicates_avoided, before.duplicates_avoided);
-    state.counters["posthoc_dedup_pq"] =
-        per_query(now.posthoc_dedup, before.posthoc_dedup);
-  }
+  const QueryStats now = GetQueryStats();
+  const auto n = static_cast<double>(state.iterations());
+  auto per_query = [n](std::uint64_t now_v, std::uint64_t before_v) {
+    return static_cast<double>(now_v - before_v) / n;
+  };
+  state.counters["tiles_pq"] =
+      per_query(now.tiles_visited, before.tiles_visited);
+  state.counters["scanned_pq"] =
+      per_query(now.scanned_total(), before.scanned_total());
+  state.counters["cmp_pq"] = per_query(now.comparisons, before.comparisons);
+  state.counters["probes_pq"] =
+      per_query(now.binary_search_probes, before.binary_search_probes);
+  state.counters["dup_avoided_pq"] =
+      per_query(now.duplicates_avoided, before.duplicates_avoided);
+  state.counters["posthoc_dedup_pq"] =
+      per_query(now.posthoc_dedup, before.posthoc_dedup);
 }
 
 /// Registers a window-query throughput benchmark over a cached index. The

@@ -155,7 +155,6 @@ void RegisterAll() {
 int main(int argc, char** argv) {
   RegisterAll();
   benchmark::Initialize(&argc, argv);
-  tlp::bench::WarnIfStatsInstrumented();
   benchmark::RunSpecifiedBenchmarks();
   tlp::bench::PrintQueryStatsJson("ext");
   benchmark::Shutdown();

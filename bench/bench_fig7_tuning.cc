@@ -115,7 +115,6 @@ void RegisterAll() {
 int main(int argc, char** argv) {
   RegisterAll();
   benchmark::Initialize(&argc, argv);
-  tlp::bench::WarnIfStatsInstrumented();
   benchmark::RunSpecifiedBenchmarks();
   tlp::bench::PrintQueryStatsJson("fig7");
   benchmark::Shutdown();

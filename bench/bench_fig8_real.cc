@@ -46,7 +46,6 @@ void RegisterAll() {
 int main(int argc, char** argv) {
   RegisterAll();
   benchmark::Initialize(&argc, argv);
-  tlp::bench::WarnIfStatsInstrumented();
   benchmark::RunSpecifiedBenchmarks();
   tlp::bench::PrintQueryStatsJson("fig8");
   benchmark::Shutdown();

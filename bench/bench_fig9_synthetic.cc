@@ -134,7 +134,6 @@ void RegisterAll() {
 int main(int argc, char** argv) {
   RegisterAll();
   benchmark::Initialize(&argc, argv);
-  tlp::bench::WarnIfStatsInstrumented();
   tlp::bench::TrajectoryReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   tlp::bench::PrintQueryStatsJson("fig9");

@@ -1,26 +1,27 @@
 #ifndef TLP_BENCH_BENCH_JSON_H_
 #define TLP_BENCH_BENCH_JSON_H_
 
-// Benchmark trajectory emission (docs/BENCHMARKING.md, "Hot-path
+// Benchmark trajectory emission (docs/BENCHMARKING.md, "Benchmark
 // trajectory"): when TLP_BENCH_JSON names a file, bench mains append one
-// labeled run — {label, backend, stats flag, per-benchmark timings} — to a
-// JSON document of the shape
+// labeled run — {label, backend, per-benchmark timings} — to a JSON
+// document of the shape
 //
 //   {
 //     "bench_id": "fig9_synthetic",
 //     "runs": [
-//       {"label": "scalar-baseline", "backend": "scalar",
-//        "stats_instrumented": false,
+//       {"label": "simd-avx2", "backend": "avx2",
 //        "benchmarks": [{"name": ..., "real_time_us": ...,
 //                        "items_per_second": ...}, ...]},
 //       ...
 //     ]
 //   }
 //
-// so a before/after pair (e.g. a TLP_SIMD=OFF and a TLP_SIMD=ON build) can
-// be diffed with tools/bench_compare.py. The run label comes from
-// TLP_BENCH_LABEL. Without TLP_BENCH_JSON everything here is a no-op and
-// the bench binaries behave exactly as before.
+// so a before/after pair (e.g. builds of two commits) can be diffed with
+// tools/bench_compare.py. Runs recorded before the counters became
+// unconditional also carry a "stats_instrumented" field; readers ignore
+// it. The run label comes from TLP_BENCH_LABEL. Without TLP_BENCH_JSON
+// everything here is a no-op and the bench binaries behave exactly as
+// before.
 
 #include <cmath>
 #include <cstdio>
@@ -32,7 +33,6 @@
 
 #include "benchmark/benchmark.h"
 
-#include "common/query_stats.h"
 #include "common/simd.h"
 
 namespace tlp {
@@ -98,8 +98,6 @@ inline std::string RunJson(const std::vector<BenchRecord>& records) {
   os << "    {\n      \"label\": \""
      << Escape(label != nullptr ? label : "unlabeled") << "\",\n"
      << "      \"backend\": \"" << simd::kBackendName << "\",\n"
-     << "      \"stats_instrumented\": "
-     << (kQueryStatsEnabled ? "true" : "false") << ",\n"
      << "      \"benchmarks\": [";
   for (std::size_t k = 0; k < records.size(); ++k) {
     os << (k == 0 ? "\n" : ",\n") << "        {\"name\": \""

@@ -25,7 +25,6 @@ void RegisterAll() {
 int main(int argc, char** argv) {
   RegisterAll();
   benchmark::Initialize(&argc, argv);
-  tlp::bench::WarnIfStatsInstrumented();
   benchmark::RunSpecifiedBenchmarks();
   tlp::bench::PrintQueryStatsJson("table5");
   benchmark::Shutdown();

@@ -60,7 +60,6 @@ void RegisterAll() {
 int main(int argc, char** argv) {
   RegisterAll();
   benchmark::Initialize(&argc, argv);
-  tlp::bench::WarnIfStatsInstrumented();
   benchmark::RunSpecifiedBenchmarks();
   tlp::bench::PrintQueryStatsJson("table6");
   benchmark::Shutdown();

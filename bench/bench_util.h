@@ -103,24 +103,10 @@ inline double PercentToFraction(double percent) { return percent / 100.0; }
 /// Dumps the calling thread's accumulated query statistics as one prefixed
 /// JSON line (schema: docs/BENCHMARKING.md). Bench mains call this after
 /// RunSpecifiedBenchmarks() so every experiment run ends with a machine-
-/// readable operation-count block; with TLP_STATS=OFF the line carries
-/// "enabled": false and all-zero counters.
+/// readable operation-count block.
 inline void PrintQueryStatsJson(const std::string& label) {
   std::printf("TLP_QUERY_STATS %s\n", GetQueryStats().ToJson(label).c_str());
   std::fflush(stdout);
-}
-
-/// One-time stderr note when the stats instrumentation is compiled into a
-/// benchmark binary: counter accounting costs a few percent in the query
-/// loops, so publication numbers should come from a TLP_STATS=OFF build.
-/// Acts as the guard that makes an instrumented perf run visible in logs.
-inline void WarnIfStatsInstrumented() {
-  if constexpr (kQueryStatsEnabled) {
-    std::fprintf(stderr,
-                 "[tlp] NOTE: query-stats instrumentation is ON "
-                 "(TLP_STATS=ON); rebuild with -DTLP_STATS=OFF for "
-                 "publication-grade timings.\n");
-  }
 }
 
 }  // namespace bench

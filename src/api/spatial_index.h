@@ -32,12 +32,12 @@ namespace tlp {
 ///    identical — same per-tile contents in the same order — for every
 ///    thread count.
 ///
-/// Observability: when the library is compiled with TLP_STATS=ON (see
-/// common/query_stats.h), the grid indices account per-query operation
-/// counts — tiles visited, entries scanned per class, comparisons, duplicate
-/// handling, refinement hits/misses, wall-clock — into the calling thread's
-/// accumulator. Callers sample it with ResetQueryStats() / GetQueryStats();
-/// BatchExecutor merges its workers' counters into the caller on Wait().
+/// Observability: the grid indices always account per-query operation
+/// counts (common/query_stats.h) — tiles visited, entries scanned per
+/// class, comparisons, duplicate handling, refinement hits/misses,
+/// wall-clock — into the calling thread's accumulator. Callers sample it
+/// with ResetQueryStats() / GetQueryStats(); BatchExecutor merges its
+/// workers' counters into the caller on Wait().
 class SpatialIndex {
  public:
   virtual ~SpatialIndex() = default;

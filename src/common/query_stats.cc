@@ -23,14 +23,14 @@ std::string QueryStats::ToJson(const std::string& label) const {
   char buf[768];
   std::snprintf(
       buf, sizeof(buf),
-      "{\"label\": \"%s\", \"enabled\": %s, \"queries\": %llu, "
+      "{\"label\": \"%s\", \"queries\": %llu, "
       "\"query_seconds\": %.6f, \"tiles_visited\": %llu, "
       "\"scanned\": {\"A\": %llu, \"B\": %llu, \"C\": %llu, \"D\": %llu, "
       "\"flat\": %llu, \"total\": %llu}, "
       "\"comparisons\": %llu, \"binary_search_probes\": %llu, "
       "\"duplicates_avoided\": %llu, \"posthoc_dedup\": %llu, "
       "\"candidates\": %llu, \"refine_hits\": %llu, \"refine_misses\": %llu}",
-      label.c_str(), kQueryStatsEnabled ? "true" : "false",
+      label.c_str(),
       static_cast<unsigned long long>(queries), query_seconds,
       static_cast<unsigned long long>(tiles_visited),
       static_cast<unsigned long long>(scanned_class[0]),

@@ -13,12 +13,13 @@ namespace tlp {
 /// (never generated, so never eliminated), and §IV promises fewer secondary
 /// partitions touched per tile; these counters make all three measurable.
 ///
-/// The layer is compile-time gated: with the CMake option TLP_STATS=ON
-/// (default) every query path accounts into the calling thread's accumulator
-/// via the TLP_STATS_* macros below; with TLP_STATS=OFF the macros expand to
-/// `(void)0` and the query hot loops compile exactly as if this header did
-/// not exist. Tests and CI run with stats on; publication-grade benchmark
-/// runs should use -DTLP_STATS=OFF.
+/// The counters are always compiled in: every query path accounts into the
+/// calling thread's accumulator via the TLP_STATS_* macros below, so the
+/// program that is tested is the program that is benchmarked and served.
+/// The hot loops (grid/scan.h partition scans, the grid window and disk
+/// scans, the skyline sweep, the 2-layer+ table ranges) count into a local
+/// or from the range length and add once per call rather than once per
+/// entry; the counts stay exact.
 ///
 /// Threading model: one accumulator per thread (thread_local). Code that
 /// fans a query batch out to worker threads (BatchExecutor) drains each
@@ -36,7 +37,11 @@ struct QueryStats {
   /// Entries scanned in unclassified (flat 1-layer / quad-tree style) tiles.
   std::uint64_t scanned_flat = 0;
   /// Per-entry predicate evaluations actually executed: §IV-B endpoint
-  /// comparisons and per-entry MBR distance tests.
+  /// comparisons and per-entry MBR distance tests. Short-circuit scans count
+  /// the comparisons they reach; the 2-layer+ residual check with two or
+  /// more comparisons decides every one of them for every entry in the
+  /// searched range at once (4-box kernel), so it counts
+  /// popcount(residual) per entry.
   std::uint64_t comparisons = 0;
   /// Probes spent in sorted-table binary searches (2-layer+, §IV-C);
   /// one search over n entries accounts ceil(log2(n))+1 probes.
@@ -72,17 +77,8 @@ struct QueryStats {
   std::string ToJson(const std::string& label) const;
 };
 
-/// True when the library was compiled with the stats layer (TLP_STATS=ON).
-#ifdef TLP_STATS_ENABLED
-inline constexpr bool kQueryStatsEnabled = true;
-#else
-inline constexpr bool kQueryStatsEnabled = false;
-#endif
-
-#ifdef TLP_STATS_ENABLED
-
-/// The calling thread's accumulator. Hot paths reach it through the macros
-/// below only, so the disabled build contains no reference to it.
+/// The calling thread's accumulator. Query paths reach it through the
+/// macros below.
 inline QueryStats& CurrentQueryStats() {
   thread_local QueryStats stats;
   return stats;
@@ -137,21 +133,6 @@ class ScopedQueryTimer {
               .scanned_class[static_cast<int>(class_index)] += (amount)))
 #define TLP_STATS_QUERY_TIMER() \
   ::tlp::stats_internal::ScopedQueryTimer tlp_stats_query_timer_guard_
-
-#else  // !TLP_STATS_ENABLED
-
-/// Disabled-build stubs: callers (tests, benches, batch merge) can stay
-/// unconditional; everything folds to nothing.
-inline void ResetQueryStats() {}
-inline QueryStats GetQueryStats() { return QueryStats{}; }
-inline void MergeQueryStats(const QueryStats&) {}
-inline void DrainQueryStatsInto(QueryStats*) {}
-
-#define TLP_STATS_ADD(field, amount) ((void)0)
-#define TLP_STATS_CLASS_SCANNED(class_index, amount) ((void)0)
-#define TLP_STATS_QUERY_TIMER() ((void)0)
-
-#endif  // TLP_STATS_ENABLED
 
 }  // namespace tlp
 

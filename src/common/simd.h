@@ -6,27 +6,23 @@
 
 #include "common/types.h"
 
-// Compile-time SIMD backend selection for the query hot path. The CMake
-// option TLP_SIMD (default ON) defines TLP_SIMD_ENABLED; the instruction set
-// the translation unit is compiled for then picks the backend:
+// Compile-time SIMD backend selection for the query hot path. The
+// instruction set the translation unit is compiled for picks the backend:
 //
 //   TLP_SIMD_BACKEND_AVX2   x86-64 with AVX2 (-march=native Release builds)
 //   TLP_SIMD_BACKEND_NEON   AArch64 with Advanced SIMD
 //   (neither)               scalar fallback, always built and always correct
 //
-// TLP_SIMD_VECTORIZED is defined whenever a vector backend is active. The
-// vector kernels are compiled regardless of the query-stats layer so the
-// differential tests (tests/simd_test.cc) can exercise them in every build;
-// whether the *query paths* route through them is decided where they are
-// used (grid/scan.h): the scalar loops carry per-comparison stats accounting
-// that a vector kernel cannot reproduce exactly, so instrumented
-// (TLP_STATS=ON) builds keep the scalar scans and their counter semantics.
-#if defined(TLP_SIMD_ENABLED) && defined(__AVX2__)
+// On a target without either instruction set the scalar fallback is the
+// only path. Every backend computes the same results
+// (tests/simd_test.cc proves it differentially against the scalar kernel),
+// and the query paths that use these kernels (grid/scan.h, the 2-layer+
+// residual check) account their query-statistics counters per call, so the
+// counters read the same on every backend.
+#if defined(__AVX2__)
 #define TLP_SIMD_BACKEND_AVX2 1
-#define TLP_SIMD_VECTORIZED 1
-#elif defined(TLP_SIMD_ENABLED) && defined(__ARM_NEON) && defined(__aarch64__)
+#elif defined(__ARM_NEON) && defined(__aarch64__)
 #define TLP_SIMD_BACKEND_NEON 1
-#define TLP_SIMD_VECTORIZED 1
 #endif
 
 #if defined(TLP_SIMD_BACKEND_AVX2)
@@ -54,12 +50,6 @@ inline constexpr const char* kBackendName =
     "neon";
 #else
     "scalar";
-#endif
-
-#if defined(TLP_SIMD_VECTORIZED)
-inline constexpr bool kVectorized = true;
-#else
-inline constexpr bool kVectorized = false;
 #endif
 
 /// Per-lane interval bounds for a 4-coordinate comparison kernel. A value

@@ -43,9 +43,9 @@ std::vector<SkylineEntry> SkylineQuery(const TwoLayerGrid& grid,
     if (span.second == 0) return;
     TLP_STATS_ADD(tiles_visited, 1);
     TLP_STATS_CLASS_SCANNED(ObjectClass::kA, span.second);
+    TLP_STATS_ADD(comparisons, span.second);  // one test per entry
     for (std::size_t n = 0; n < span.second; ++n) {
       const BoxEntry& e = span.first[n];
-      TLP_STATS_ADD(comparisons, 1);
       if (region != nullptr && !e.box.Intersects(*region)) continue;
       if (keep && !keep(e)) continue;
       SkylineAdmit(e, q, &sky);

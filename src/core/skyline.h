@@ -69,7 +69,8 @@ inline void SkylineAdmit(const BoxEntry& e, const Point& q,
 /// class-A secondary partitions (every object belongs to class A of
 /// exactly one tile — the one holding its MBR's lower corner); with a
 /// `region` they come from WindowCandidates, duplicate-free by Lemmas 1-4.
-/// No post-hoc deduplication ever runs (asserted via TLP_STATS in tests).
+/// No post-hoc deduplication ever runs (asserted via the query-stats
+/// counters in tests).
 ///
 /// Index acceleration: each tile keeps the bounding box of its class-A
 /// entries (TwoLayerGrid::ClassAExtent), so the extent's own (dx, dy)

@@ -356,26 +356,29 @@ void TwoLayerGrid::WindowQueryTile(std::uint32_t i, std::uint32_t j,
   const bool first_row = j == range.j0;
   const unsigned mask =
       TileComparisonMask(first_col, i == range.i1, first_row, j == range.j1);
-#ifdef TLP_SIMD_HOT_SCANS
-  if (mask == 0 && !first_col && !first_row) {
-    // Interior tile: only class A is scanned and every entry qualifies
-    // without a comparison, so append the segment's id column in one growth
-    // step instead of a capacity-checked push per entry. Interior tiles are
-    // the bulk of any multi-tile window, and this emit loop is its hot spot.
+  if (mask == 0) {
+    // Interior tile (mask 0: neither the first nor the last column or row):
+    // only class A is scanned and every entry qualifies without a
+    // comparison, so append the segment's id column in one growth step
+    // instead of a capacity-checked push per entry. Interior tiles are the
+    // bulk of any multi-tile window, and this emit loop is its hot spot.
+    // Accounts exactly what ScanTile would with mask 0.
     const std::size_t seg = SegmentOf(ObjectClass::kA);
     const BoxEntry* p = tile.entries.data() + tile.begin[seg];
     const std::size_t n = tile.begin[seg + 1] - tile.begin[seg];
+    TLP_STATS_CLASS_SCANNED(ObjectClass::kA, n);
+    TLP_STATS_ADD(candidates, n);
+    TLP_STATS_ADD(duplicates_avoided, tile.entries.size() - n);
     const std::size_t base = out->size();
     out->resize(base + n);
     ObjectId* dst = out->data() + base;
     for (std::size_t k = 0; k < n; ++k) dst[k] = p[k].id;
     return;
   }
-#endif  // TLP_SIMD_HOT_SCANS
-  ScanTile(tile, w, mask, first_col, first_row, [&](const BoxEntry& e) {
-    TLP_STATS_ADD(candidates, 1);
-    out->push_back(e.id);
-  });
+  const std::size_t before = out->size();
+  ScanTile(tile, w, mask, first_col, first_row,
+           [&](const BoxEntry& e) { out->push_back(e.id); });
+  TLP_STATS_ADD(candidates, out->size() - before);
 }
 
 void TwoLayerGrid::WindowQuery(const Box& w, std::vector<ObjectId>* out) const {
@@ -407,12 +410,13 @@ void TwoLayerGrid::WindowCandidates(const Box& w,
           // likewise for rows (paper §V).
           const bool x_implied = !first_col;
           const bool y_implied = !first_row;
+          const std::size_t before = out->size();
           ScanTile(tile, w, mask, first_col, first_row,
                    [&](const BoxEntry& e) {
-                     TLP_STATS_ADD(candidates, 1);
                      out->push_back(Candidate{e.id, e.box, x_implied,
                                               y_implied});
                    });
+          TLP_STATS_ADD(candidates, out->size() - before);
         });
   }
 }
@@ -518,10 +522,11 @@ void TwoLayerGrid::ForEachDiskResult(const Point& q, Coord radius,
         const BoxEntry* p = data + tile.begin[k];
         const std::size_t n = tile.begin[k + 1] - tile.begin[k];
         TLP_STATS_CLASS_SCANNED(c, n);
+        // One distance test per entry unless the disk covers the tile.
+        if (!covered) TLP_STATS_ADD(comparisons, n);
         for (std::size_t s = 0; s < n; ++s) {
           const BoxEntry& e = p[s];
           if (!covered) {
-            TLP_STATS_ADD(comparisons, 1);
             const Coord d = e.box.MinDistanceTo(q);
             if (d > radius || (annulus && d <= min_radius)) continue;
           }
@@ -562,20 +567,20 @@ void TwoLayerGrid::ForEachDiskResult(const Point& q, Coord radius,
 void TwoLayerGrid::DiskQuery(const Point& q, Coord radius,
                              std::vector<ObjectId>* out) const {
   TLP_STATS_QUERY_TIMER();
-  ForEachDiskResult(q, radius, /*min_radius=*/-1, [&](const BoxEntry& e) {
-    TLP_STATS_ADD(candidates, 1);
-    out->push_back(e.id);
-  });
+  const std::size_t before = out->size();
+  ForEachDiskResult(q, radius, /*min_radius=*/-1,
+                    [&](const BoxEntry& e) { out->push_back(e.id); });
+  TLP_STATS_ADD(candidates, out->size() - before);
 }
 
 void TwoLayerGrid::DiskQueryEntries(const Point& q, Coord radius,
                                     std::vector<BoxEntry>* out,
                                     Coord min_radius) const {
   TLP_STATS_QUERY_TIMER();
-  ForEachDiskResult(q, radius, min_radius, [&](const BoxEntry& e) {
-    TLP_STATS_ADD(candidates, 1);
-    out->push_back(e);
-  });
+  const std::size_t before = out->size();
+  ForEachDiskResult(q, radius, min_radius,
+                    [&](const BoxEntry& e) { out->push_back(e); });
+  TLP_STATS_ADD(candidates, out->size() - before);
 }
 
 std::size_t TwoLayerGrid::SizeBytes() const {

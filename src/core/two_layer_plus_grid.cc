@@ -342,7 +342,6 @@ void TwoLayerPlusGrid::EvaluateClass(const TileTables& tt, ObjectClass c,
   TLP_STATS_ADD(binary_search_probes, std::bit_width(table.size()));
   std::size_t begin = 0;
   std::size_t end = table.size();
-#ifdef TLP_SIMD_ENABLED
   // Branchless probes (conditional-move steps + prefetch) return exactly the
   // std::lower_bound / std::upper_bound indices; see common/
   // branchless_search.h.
@@ -352,41 +351,30 @@ void TwoLayerPlusGrid::EvaluateClass(const TileTables& tt, ObjectClass c,
   } else {
     end = BranchlessUpperBound(table.values.data(), table.size(), best.bound);
   }
-#else
-  if (best.ge) {
-    begin = static_cast<std::size_t>(
-        std::lower_bound(table.values.begin(), table.values.end(),
-                         best.bound) -
-        table.values.begin());
-  } else {
-    end = static_cast<std::size_t>(
-        std::upper_bound(table.values.begin(), table.values.end(),
-                         best.bound) -
-        table.values.begin());
-  }
-#endif
   TLP_STATS_CLASS_SCANNED(c, end - begin);
 
   const unsigned residual = mask & ~best.flag;
+  const ObjectId* ids = table.ids.data();
+  const std::size_t emitted_before = out->size();
   if (residual == 0) {
-    TLP_STATS_ADD(candidates, end - begin);
-    out->insert(out->end(), table.ids.begin() + begin,
-                table.ids.begin() + end);
-    return;
-  }
-  // Verify the remaining comparisons on the full MBR (fetched by id), as the
-  // paper does for two-comparison border tiles.
-#ifdef TLP_SIMD_HOT_SCANS
-  // The vector kernel pays off here (unlike the border-tile scans, which
-  // short-circuit predictably): a table range mixes passing and failing
-  // entries, so the scalar multi-compare loop mispredicts, while the
-  // transposed 4-box kernel decides four entries branch-free. Only
-  // worthwhile with two or more residual comparisons — a single compare
-  // is cheaper left scalar. The id -> MBR fetch is a random gather over
-  // the mbrs_ table; prefetch a group ahead so the misses overlap.
-  if (std::popcount(residual) >= 2) {
+    out->insert(out->end(), ids + begin, ids + end);
+  } else if (std::popcount(residual) == 1) {
+    // Verify the remaining comparison on the full MBR (fetched by id), as
+    // the paper does for two-comparison border tiles.
+    for (std::size_t k = begin; k < end; ++k) {
+      if (PassesComparisonMask(mbrs_[ids[k]], w, residual)) {
+        out->push_back(ids[k]);
+      }
+    }
+  } else {
+    // Two or more residual comparisons: the transposed 4-box kernel decides
+    // four entries branch-free. A table range mixes passing and failing
+    // entries, so a scalar multi-compare loop mispredicts here (unlike the
+    // border-tile scans, which short-circuit predictably); a single compare
+    // is cheaper left scalar (above). The id -> MBR fetch is a random
+    // gather over the mbrs_ table; prefetch a group ahead so the misses
+    // overlap.
     const simd::LaneBounds lb = LaneBoundsForMask(w, residual);
-    const ObjectId* ids = table.ids.data();
     constexpr std::size_t kVerifyPrefetchAhead = 8;
     std::size_t k = begin;
     for (; k + 4 <= end; k += 4) {
@@ -407,16 +395,14 @@ void TwoLayerPlusGrid::EvaluateClass(const TileTables& tt, ObjectClass c,
     for (; k < end; ++k) {
       if (simd::Matches(&mbrs_[ids[k]].xl, lb)) out->push_back(ids[k]);
     }
-    return;
   }
-#endif  // TLP_SIMD_HOT_SCANS
-  for (std::size_t k = begin; k < end; ++k) {
-    const ObjectId id = table.ids[k];
-    if (PassesComparisonMask(mbrs_[id], w, residual)) {
-      TLP_STATS_ADD(candidates, 1);
-      out->push_back(id);
-    }
-  }
+  // Every residual comparison is decided for every entry of the range: the
+  // single compare has nothing to short-circuit, and the kernel evaluates
+  // all of them at once.
+  TLP_STATS_ADD(comparisons,
+                static_cast<std::size_t>(std::popcount(residual)) *
+                    (end - begin));
+  TLP_STATS_ADD(candidates, out->size() - emitted_before);
 }
 
 void TwoLayerPlusGrid::WindowQuery(const Box& w,

@@ -87,26 +87,18 @@ class OccupancyBitset {
 };
 
 /// Calls `fn(i)` for every column i in [i0, i1] of grid row `j` whose tile's
-/// occupancy bit is set. With the hot path disabled (TLP_SIMD=OFF) this
-/// degrades to the plain column loop — callers keep their own per-tile
-/// emptiness checks, so the bitset is purely an accelerator and the OFF
-/// build reproduces the pre-optimization query loops exactly.
+/// occupancy bit is set, in ascending order. Callers keep their own per-tile
+/// emptiness checks, so the bitset is purely an accelerator.
 template <typename Fn>
 inline void ForEachOccupiedColumn(const OccupancyBitset& occ,
                                   const GridLayout& g, std::uint32_t j,
                                   std::uint32_t i0, std::uint32_t i1,
                                   Fn&& fn) {
-#ifdef TLP_SIMD_ENABLED
   const std::size_t row_base = g.TileId(0, j);
   occ.ForEachSetInRange(row_base + i0, row_base + i1 + 1,
                         [&](std::size_t tile_id) {
                           fn(static_cast<std::uint32_t>(tile_id - row_base));
                         });
-#else
-  (void)occ;
-  (void)g;
-  for (std::uint32_t i = i0; i <= i1; ++i) fn(i);
-#endif
 }
 
 }  // namespace tlp

@@ -157,6 +157,7 @@ void OneLayerGrid::WindowQuery(const Box& w,
   TLP_STATS_QUERY_TIMER();
   const TileRange range = layout_.TilesFor(w);
   const std::size_t first_result = out->size();
+  std::uint64_t rejected = 0;
   for (std::uint32_t j = range.j0; j <= range.j1; ++j) {
     ForEachOccupiedColumn(occupancy_, layout_, j, range.i0, range.i1, [&](
                                                       std::uint32_t i) {
@@ -176,21 +177,20 @@ void OneLayerGrid::WindowQuery(const Box& w,
                               [&](const BoxEntry& e) {
                                 if (ReferencePointInTile(layout_, e.box, w, i,
                                                          j)) {
-                                  TLP_STATS_ADD(candidates, 1);
                                   out->push_back(e.id);
                                 } else {
-                                  TLP_STATS_ADD(posthoc_dedup, 1);
+                                  ++rejected;
                                 }
                               });
       } else {
-        ScanPartitionDispatch(mask, tile.data(), tile.size(), w,
-                              [&](const BoxEntry& e) {
-                                TLP_STATS_ADD(candidates, 1);
-                                out->push_back(e.id);
-                              });
+        ScanPartitionDispatch(
+            mask, tile.data(), tile.size(), w,
+            [&](const BoxEntry& e) { out->push_back(e.id); });
       }
     });
   }
+  TLP_STATS_ADD(candidates, out->size() - first_result);
+  TLP_STATS_ADD(posthoc_dedup, rejected);
   if (dedup_ == DedupPolicy::kHash) SortUniqueIds(out, first_result);
 }
 
@@ -200,6 +200,8 @@ void OneLayerGrid::DiskQuery(const Point& q, Coord radius,
   const Box mbr{q.x - radius, q.y - radius, q.x + radius, q.y + radius};
   const TileRange range = layout_.TilesFor(mbr);
   const std::size_t first_result = out->size();
+  std::uint64_t tested = 0;
+  std::uint64_t rejected = 0;
   for (std::uint32_t j = range.j0; j <= range.j1; ++j) {
     ForEachOccupiedColumn(occupancy_, layout_, j, range.i0, range.i1, [&](
                                                       std::uint32_t i) {
@@ -222,20 +224,22 @@ void OneLayerGrid::DiskQuery(const Point& q, Coord radius,
                                                j == range.j0, j == range.j1);
       auto handle = [&](const BoxEntry& e) {
         if (!covered) {
-          TLP_STATS_ADD(comparisons, 1);
+          ++tested;
           if (e.box.MinDistanceTo(q) > radius) return;
         }
         if (dedup_ == DedupPolicy::kReferencePoint &&
             !ReferencePointInTile(layout_, e.box, mbr, i, j)) {
-          TLP_STATS_ADD(posthoc_dedup, 1);
+          ++rejected;
           return;
         }
-        TLP_STATS_ADD(candidates, 1);
         out->push_back(e.id);
       };
       ScanPartitionDispatch(mask, tile.data(), tile.size(), mbr, handle);
     });
   }
+  TLP_STATS_ADD(comparisons, tested);
+  TLP_STATS_ADD(candidates, out->size() - first_result);
+  TLP_STATS_ADD(posthoc_dedup, rejected);
   if (dedup_ == DedupPolicy::kHash) SortUniqueIds(out, first_result);
 }
 

@@ -2,20 +2,12 @@
 #define TLP_GRID_SCAN_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 
 #include "common/query_stats.h"
 #include "common/simd.h"
 #include "geometry/box.h"
-
-// The vectorized scans below cannot carry the per-comparison accounting of
-// the scalar loops (a 4-lane kernel executes all four comparisons at once,
-// while the scalar plan short-circuits), so instrumented builds keep the
-// scalar dispatch and its exact counter semantics. Only stats-free builds
-// with a vector backend route queries through the SIMD kernels.
-#if defined(TLP_SIMD_VECTORIZED) && !defined(TLP_STATS_ENABLED)
-#define TLP_SIMD_HOT_SCANS 1
-#endif
 
 namespace tlp {
 
@@ -30,30 +22,34 @@ inline constexpr unsigned kCmpYlLeWyu = 8u;  // keep r iff r.yl <= W.yu
 
 /// Scans a partition applying exactly the comparisons in `Mask`, invoking
 /// `emit(entry)` for every surviving entry. The mask is a template parameter
-/// so each tile case compiles to a branch-minimal loop.
+/// so each tile case compiles to a branch-minimal loop. The comparisons the
+/// short-circuit plan reaches are counted in a register and added to the
+/// query-stats accumulator once per call.
 template <unsigned Mask, typename Emit>
 inline void ScanPartition(const BoxEntry* data, std::size_t n, const Box& w,
                           Emit&& emit) {
+  std::uint64_t tested = 0;
   for (std::size_t k = 0; k < n; ++k) {
     const BoxEntry& e = data[k];
     if constexpr ((Mask & kCmpXuGeWxl) != 0) {
-      TLP_STATS_ADD(comparisons, 1);
+      ++tested;
       if (e.box.xu < w.xl) continue;
     }
     if constexpr ((Mask & kCmpXlLeWxu) != 0) {
-      TLP_STATS_ADD(comparisons, 1);
+      ++tested;
       if (e.box.xl > w.xu) continue;
     }
     if constexpr ((Mask & kCmpYuGeWyl) != 0) {
-      TLP_STATS_ADD(comparisons, 1);
+      ++tested;
       if (e.box.yu < w.yl) continue;
     }
     if constexpr ((Mask & kCmpYlLeWyu) != 0) {
-      TLP_STATS_ADD(comparisons, 1);
+      ++tested;
       if (e.box.yl > w.yu) continue;
     }
     emit(e);
   }
+  if constexpr (Mask != 0) TLP_STATS_ADD(comparisons, tested);
 }
 
 // The SIMD kernel loads a BoxEntry's four coordinates as one lane vector
@@ -162,23 +158,12 @@ inline void ScanPartitionDispatch(unsigned mask, const BoxEntry* data,
 }
 
 /// True iff `b` passes every comparison in `mask` against window `w`.
+/// Callers account the comparisons they run (it counts nothing itself).
 inline bool PassesComparisonMask(const Box& b, const Box& w, unsigned mask) {
-  if ((mask & kCmpXuGeWxl) != 0) {
-    TLP_STATS_ADD(comparisons, 1);
-    if (b.xu < w.xl) return false;
-  }
-  if ((mask & kCmpXlLeWxu) != 0) {
-    TLP_STATS_ADD(comparisons, 1);
-    if (b.xl > w.xu) return false;
-  }
-  if ((mask & kCmpYuGeWyl) != 0) {
-    TLP_STATS_ADD(comparisons, 1);
-    if (b.yu < w.yl) return false;
-  }
-  if ((mask & kCmpYlLeWyu) != 0) {
-    TLP_STATS_ADD(comparisons, 1);
-    if (b.yl > w.yu) return false;
-  }
+  if ((mask & kCmpXuGeWxl) != 0 && b.xu < w.xl) return false;
+  if ((mask & kCmpXlLeWxu) != 0 && b.xl > w.xu) return false;
+  if ((mask & kCmpYuGeWyl) != 0 && b.yu < w.yl) return false;
+  if ((mask & kCmpYlLeWyu) != 0 && b.yl > w.yu) return false;
   return true;
 }
 

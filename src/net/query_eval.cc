@@ -147,7 +147,7 @@ Status EvaluateRead(const ConcurrentTwoLayerGrid::Snapshot& snap,
       return Status::InvalidArgument("not a read statement");
   }
 
-  if (q.with_stats && kQueryStatsEnabled) {
+  if (q.with_stats) {
     out->stats_json = GetQueryStats().ToJson(stats_label);
   }
   return Status::OK();

@@ -28,8 +28,7 @@ namespace tlp::net {
 struct EvalResult {
   std::vector<std::string> rows;
   /// One-line QueryStats JSON for this query alone; empty unless the
-  /// query said WITH STATS (always empty in a TLP_STATS=OFF build — the
-  /// reply then carries no STATS line, which clients must tolerate).
+  /// query said WITH STATS.
   std::string stats_json;
 };
 
@@ -39,7 +38,7 @@ struct EvalResult {
 /// view with an empty overlay that copies nothing, valid only while the
 /// grid it views is alive — and a live index as Acquire().
 ///
-/// WITH STATS resets and reads the calling thread's TLP_STATS accumulator,
+/// WITH STATS resets and reads the calling thread's query-stats accumulator,
 /// so the reported counters cover exactly this query. Resource-insane
 /// parameters (k or fetch beyond 2^32) return kInvalidArgument — the
 /// "eval" error class on the wire.

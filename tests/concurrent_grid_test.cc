@@ -8,7 +8,7 @@
 //    delta) must equal the same query over a sequential TwoLayerGrid that
 //    applied the identical ops, at every interleaving of appends, merges,
 //    and flushes. Duplicate-freeness rides along: the id-set comparators
-//    reject duplicates, and with TLP_STATS on, posthoc_dedup must stay 0
+//    reject duplicates, and posthoc_dedup must stay 0
 //    (the Lemma 1-4 replica-avoidance survives the overlay composition).
 //  * Randomized interleaved reader/writer differential test — one writer
 //    replays a precomputed op script while reader threads pin snapshots
@@ -141,15 +141,13 @@ void ExpectSnapshotMatchesOracle(const ConcurrentTwoLayerGrid& live,
     std::vector<ObjectId> expected;
     oracle.WindowQuery(w, &expected);
     std::sort(expected.begin(), expected.end());
-    if (kQueryStatsEnabled) ResetQueryStats();
+    ResetQueryStats();
     std::vector<ObjectId> actual;
     snap.WindowQuery(w, &actual);
     testing::ExpectSameIdSet(expected, actual, context + " window");
-    if (kQueryStatsEnabled) {
-      // Lemma 1-4 hold over (base + overlay): results come out exact
-      // without any post-hoc dedup pass.
-      EXPECT_EQ(GetQueryStats().posthoc_dedup, 0u) << context;
-    }
+    // Lemma 1-4 hold over (base + overlay): results come out exact without
+    // any post-hoc dedup pass.
+    EXPECT_EQ(GetQueryStats().posthoc_dedup, 0u) << context;
 
     std::vector<Candidate> candidates;
     oracle.WindowCandidates(w, &candidates);

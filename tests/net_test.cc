@@ -242,15 +242,11 @@ TEST_F(ServerTest, WithStatsAttachesPerQueryCounters) {
       client.Execute("SELECT WINDOW 0.1 0.1 0.9 0.9 WITH STATS", &reply)
           .ok());
   ASSERT_EQ(reply.kind, Reply::Kind::kOk);
-  if (kQueryStatsEnabled) {
-    ASSERT_FALSE(reply.stats_json.empty());
-    EXPECT_NE(reply.stats_json.find("serve/window"), std::string::npos);
-    // Two-layer invariant, now visible per query over the wire.
-    EXPECT_NE(reply.stats_json.find("\"posthoc_dedup\": 0"),
-              std::string::npos);
-  } else {
-    EXPECT_TRUE(reply.stats_json.empty());
-  }
+  ASSERT_FALSE(reply.stats_json.empty());
+  EXPECT_NE(reply.stats_json.find("serve/window"), std::string::npos);
+  // Two-layer invariant, now visible per query over the wire.
+  EXPECT_NE(reply.stats_json.find("\"posthoc_dedup\": 0"),
+            std::string::npos);
 }
 
 /// Gate that lets tests hold queries inside the worker until released.

@@ -4,7 +4,8 @@
 // objects), while the 1-layer baselines generate duplicates and eliminate
 // them after the fact (posthoc_dedup > 0). Also covers comparison counting
 // (Table II), per-thread merging through BatchExecutor, refinement hit/miss
-// accounting, and the all-zero guarantee of a TLP_STATS=OFF build.
+// accounting, and exact candidate counts on the bulk interior-tile append
+// and the 2-layer+ residual kernel.
 
 #include "common/query_stats.h"
 
@@ -31,31 +32,10 @@ std::vector<BoxEntry> MultiTileEntries() {
 
 std::vector<Box> MultiTileWindows() { return testing::RandomWindows(80, 92); }
 
-TEST(QueryStatsTest, DisabledBuildReportsAllZero) {
-  if (kQueryStatsEnabled) GTEST_SKIP() << "stats compiled in";
-  // The TLP_STATS=OFF guard: query paths must not account anything.
-  TwoLayerGrid grid(GridLayout(kUnit, 8, 8));
-  grid.Build(MultiTileEntries());
-  ResetQueryStats();
-  std::vector<ObjectId> out;
-  grid.WindowQuery(Box{0.1, 0.1, 0.9, 0.9}, &out);
-  const QueryStats s = GetQueryStats();
-  EXPECT_EQ(s.queries, 0u);
-  EXPECT_EQ(s.tiles_visited, 0u);
-  EXPECT_EQ(s.scanned_total(), 0u);
-  EXPECT_EQ(s.comparisons, 0u);
-  EXPECT_EQ(s.candidates, 0u);
-  EXPECT_EQ(s.query_seconds, 0.0);
-}
-
+/// Starts every test from a zeroed accumulator on the test thread.
 class EnabledQueryStatsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!kQueryStatsEnabled) {
-      GTEST_SKIP() << "built with TLP_STATS=OFF";
-    }
-    ResetQueryStats();
-  }
+  void SetUp() override { ResetQueryStats(); }
 };
 
 TEST_F(EnabledQueryStatsTest, TwoLayerAvoidsDuplicatesByConstruction) {
@@ -149,6 +129,113 @@ TEST_F(EnabledQueryStatsTest, TwoLayerPlusCountsBinarySearchProbes) {
   EXPECT_GT(s.binary_search_probes, 0u);
   EXPECT_GT(s.duplicates_avoided, 0u);
   EXPECT_EQ(s.posthoc_dedup, 0u);
+}
+
+/// Windows whose tile ranges hold interior tiles (3+ columns and rows on an
+/// 8x8 grid): the bulk class-A append of TwoLayerGrid and the mask-0 table
+/// copy of 2-layer+.
+std::vector<Box> InteriorTileWindows() {
+  Rng rng(98);
+  std::vector<Box> windows;
+  for (int k = 0; k < 40; ++k) {
+    const double x = rng.Uniform(0.0, 0.5);
+    const double y = rng.Uniform(0.0, 0.5);
+    windows.push_back(Box{x, y, x + rng.Uniform(0.4, 0.5),
+                          y + rng.Uniform(0.4, 0.5)});
+  }
+  return windows;
+}
+
+/// Windows strictly inside one tile of `g`: every 2-layer+ class is
+/// evaluated under the full mask, leaving classes A, B and C two or three
+/// residual comparisons for the 4-box kernel.
+std::vector<Box> SingleTileWindows(const GridLayout& g) {
+  Rng rng(99);
+  std::vector<Box> windows;
+  for (int k = 0; k < 40; ++k) {
+    const Box t = g.TileBox(static_cast<std::uint32_t>(rng.NextBelow(g.nx())),
+                            static_cast<std::uint32_t>(rng.NextBelow(g.ny())));
+    const double x = rng.Uniform(t.xl + 0.1 * t.width(),
+                                 t.xl + 0.5 * t.width());
+    const double y = rng.Uniform(t.yl + 0.1 * t.height(),
+                                 t.yl + 0.5 * t.height());
+    windows.push_back(Box{x, y, x + 0.4 * t.width(), y + 0.4 * t.height()});
+  }
+  return windows;
+}
+
+TEST_F(EnabledQueryStatsTest, CandidatesEqualResultsOnEveryScanPath) {
+  const auto entries = MultiTileEntries();
+  const GridLayout layout(kUnit, 8, 8);
+  TwoLayerGrid two(layout);
+  two.Build(entries);
+  TwoLayerPlusGrid plus(layout);
+  plus.Build(entries);
+  std::vector<Box> windows = InteriorTileWindows();
+  for (const Box& w : SingleTileWindows(layout)) windows.push_back(w);
+  for (const Box& w : MultiTileWindows()) windows.push_back(w);
+
+  const auto check = [&](const SpatialIndex& index) {
+    for (const Box& w : windows) {
+      ResetQueryStats();
+      std::vector<ObjectId> out;
+      index.WindowQuery(w, &out);
+      const QueryStats s = GetQueryStats();
+      EXPECT_EQ(s.queries, 1u);
+      EXPECT_EQ(s.candidates, out.size());
+      EXPECT_GE(s.scanned_total(), s.candidates);
+      EXPECT_EQ(s.posthoc_dedup, 0u);
+    }
+  };
+  check(two);
+  check(plus);
+}
+
+TEST_F(EnabledQueryStatsTest, InteriorTileAppendAccountsLikeTheScan) {
+  // WindowCandidates scans interior tiles through ScanTile with mask 0;
+  // WindowQuery appends their class-A ids in bulk. Every counter must agree.
+  const auto entries = MultiTileEntries();
+  TwoLayerGrid grid(GridLayout(kUnit, 8, 8));
+  grid.Build(entries);
+  for (const Box& w : InteriorTileWindows()) {
+    ResetQueryStats();
+    std::vector<ObjectId> ids;
+    grid.WindowQuery(w, &ids);
+    const QueryStats bulk = GetQueryStats();
+    ResetQueryStats();
+    std::vector<Candidate> candidates;
+    grid.WindowCandidates(w, &candidates);
+    const QueryStats scanned = GetQueryStats();
+    ASSERT_EQ(ids.size(), candidates.size());
+    EXPECT_EQ(bulk.tiles_visited, scanned.tiles_visited);
+    for (int c = 0; c < 4; ++c) {
+      EXPECT_EQ(bulk.scanned_class[c], scanned.scanned_class[c]) << c;
+    }
+    EXPECT_EQ(bulk.comparisons, scanned.comparisons);
+    EXPECT_EQ(bulk.duplicates_avoided, scanned.duplicates_avoided);
+    EXPECT_EQ(bulk.candidates, scanned.candidates);
+  }
+}
+
+TEST_F(EnabledQueryStatsTest, TwoLayerPlusCountsEveryResidualComparison) {
+  // Inside one tile the masks are A: 15, B: 7, C: 13, D: 5; the sorted-table
+  // search settles one comparison and the rest are residual, decided for
+  // every entry of the searched range.
+  const auto entries = MultiTileEntries();
+  const GridLayout layout(kUnit, 8, 8);
+  TwoLayerPlusGrid grid(layout);
+  grid.Build(entries);
+  for (const Box& w : SingleTileWindows(layout)) {
+    const TileRange range = layout.TilesFor(w);
+    ASSERT_EQ(range.i0, range.i1);
+    ASSERT_EQ(range.j0, range.j1);
+    ResetQueryStats();
+    testing::CheckWindowAgainstBruteForce(grid, entries, w);
+    const QueryStats s = GetQueryStats();
+    EXPECT_EQ(s.comparisons,
+              3 * s.scanned_class[0] + 2 * s.scanned_class[1] +
+                  2 * s.scanned_class[2] + s.scanned_class[3]);
+  }
 }
 
 TEST_F(EnabledQueryStatsTest, DiskQueriesFollowTheSameDuplicateContract) {
@@ -260,7 +347,7 @@ TEST_F(EnabledQueryStatsTest, JsonSnapshotCarriesTheSchema) {
   grid.WindowQuery(kUnit, &out);
   const std::string json = GetQueryStats().ToJson("unit");
   EXPECT_NE(json.find("\"label\": \"unit\""), std::string::npos);
-  EXPECT_NE(json.find("\"enabled\": true"), std::string::npos);
+  EXPECT_EQ(json.find("\"enabled\""), std::string::npos);
   EXPECT_NE(json.find("\"tiles_visited\""), std::string::npos);
   EXPECT_NE(json.find("\"duplicates_avoided\""), std::string::npos);
   EXPECT_NE(json.find("\"posthoc_dedup\""), std::string::npos);

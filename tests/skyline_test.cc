@@ -191,7 +191,6 @@ TEST(SkylineTest, EmptyInputsYieldEmptySkylines) {
 }
 
 TEST(SkylineTest, NeverDeduplicatesPostHoc) {
-  if (!kQueryStatsEnabled) GTEST_SKIP() << "built with TLP_STATS=OFF";
   const auto data = testing::RandomEntries(400, 0.2, 422,
                                            /*point_fraction=*/0.0);
   TwoLayerGrid grid(GridLayout(kUnit, 8, 8));
@@ -210,7 +209,6 @@ TEST(SkylineTest, NeverDeduplicatesPostHoc) {
 }
 
 TEST(SkylineTest, TilePruningSkipsTiles) {
-  if (!kQueryStatsEnabled) GTEST_SKIP() << "built with TLP_STATS=OFF";
   // Dense small objects everywhere and the query at the domain's lower
   // corner: the per-tile bound (the distance from q to the tile's class-A
   // extent) is positive for almost every tile, so an early nearby skyline
@@ -230,7 +228,6 @@ TEST(SkylineTest, TilePruningSkipsTiles) {
 }
 
 TEST(SkylineTest, TilePruningSkipsTilesAroundACentredQuery) {
-  if (!kQueryStatsEnabled) GTEST_SKIP() << "built with TLP_STATS=OFF";
   // Class A constrains where an MBR starts, not how far it reaches, so a
   // bound taken from the tile's position alone is (0, 0) for every tile
   // left of or below a centred query. The class-A extent bounds where the

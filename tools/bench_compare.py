@@ -108,9 +108,6 @@ def main():
 
     print(f"# {bench_id}: {base.get('label')} ({base.get('backend')}) -> "
           f"{new.get('label')} ({new.get('backend')})")
-    if base.get("stats_instrumented") or new.get("stats_instrumented"):
-        print("# WARNING: a compared run was built with TLP_STATS=ON; "
-              "timings are not publication grade")
     width = max(len(name) for name, *_ in rows)
     print(f"{'benchmark':<{width}}  {'base_us':>10}  {'new_us':>10}  "
           f"{'speedup':>8}")

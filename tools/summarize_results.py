@@ -81,8 +81,6 @@ def summarize_query_stats(results_dir):
     for stats in load_prefixed_json(results_dir, "TLP_QUERY_STATS"):
         label = stats.get("label", "?")
         runs[label] += 1
-        if not stats.get("enabled", False):
-            continue
         for key, value in stats.items():
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 totals[label][key] += value
@@ -98,9 +96,6 @@ def summarize_query_stats(results_dir):
                "posthoc_dedup", "candidates")
     for label in sorted(runs):
         counters = totals[label]
-        if not counters:
-            print(f"  {label:32s} runs={runs[label]}  (stats disabled)")
-            continue
         parts = [f"runs={runs[label]}"]
         for key in columns:
             if key in counters:

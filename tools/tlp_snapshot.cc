@@ -313,9 +313,7 @@ int CmdLoad(const Options& opt) {
       const double xl = fx * (1.0 - side), yl = fy * (1.0 - side);
       windows.push_back(tlp::Box{xl, yl, xl + side, yl + side});
     }
-#ifdef TLP_STATS_ENABLED
     tlp::ResetQueryStats();
-#endif
     std::vector<tlp::ObjectId> out;
     std::size_t results = 0;
     const double q0 = NowSeconds();
@@ -327,13 +325,11 @@ int CmdLoad(const Options& opt) {
     const double query_seconds = NowSeconds() - q0;
     std::printf("queries=%zu results=%zu query=%.4fs\n", opt.queries,
                 results, query_seconds);
-#ifdef TLP_STATS_ENABLED
     std::printf("TLP_QUERY_STATS %s\n",
                 tlp::GetQueryStats()
                     .ToJson(std::string("snapshot_load_") +
                             (opt.mmap ? "mmap" : "owned"))
                     .c_str());
-#endif
   }
   return kExitOk;
 }
