@@ -32,10 +32,11 @@ Status Errno(const std::string& path, const char* what) {
 /// Buffered append-only POSIX file. Buffering matters: the snapshot writer
 /// emits many small records (a 20-byte begins blob per tile), and one
 /// write(2) per record would turn a 16M-tile save into 16M syscalls.
+/// Without `durable`, Sync() flushes the buffer but skips the fsync(2).
 class PosixWritableFile final : public WritableFile {
  public:
-  PosixWritableFile(std::string path, int fd)
-      : path_(std::move(path)), fd_(fd) {}
+  PosixWritableFile(std::string path, int fd, bool durable)
+      : path_(std::move(path)), fd_(fd), durable_(durable) {}
 
   ~PosixWritableFile() override {
     if (fd_ >= 0) {
@@ -85,7 +86,7 @@ class PosixWritableFile final : public WritableFile {
     if (fd_ < 0) return Status::IoError(path_ + ": sync on closed file");
     Status s = FlushBuffer();
     if (!s.ok()) return s;
-    if (::fsync(fd_) != 0) return Errno(path_, "fsync failed");
+    if (durable_ && ::fsync(fd_) != 0) return Errno(path_, "fsync failed");
     return Status::OK();
   }
 
@@ -123,17 +124,20 @@ class PosixWritableFile final : public WritableFile {
 
   std::string path_;
   int fd_;
+  const bool durable_;
   std::vector<unsigned char> buffer_;
 };
 
 class PosixFileSystem final : public FileSystem {
  public:
+  explicit PosixFileSystem(bool durable) : durable_(durable) {}
+
   Status NewWritableFile(const std::string& path,
                          std::unique_ptr<WritableFile>* out) override {
     const int fd =
         ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0) return Errno(path, "cannot create");
-    *out = std::make_unique<PosixWritableFile>(path, fd);
+    *out = std::make_unique<PosixWritableFile>(path, fd, durable_);
     return Status::OK();
   }
 
@@ -189,6 +193,7 @@ class PosixFileSystem final : public FileSystem {
   }
 
   Status SyncDir(const std::string& path) override {
+    if (!durable_) return Status::OK();
     const int fd = ::open(path.c_str(), O_RDONLY | O_DIRECTORY);
     if (fd < 0) return Errno(path, "cannot open directory");
     if (::fsync(fd) != 0) {
@@ -227,13 +232,21 @@ class PosixFileSystem final : public FileSystem {
     ::closedir(dir);
     return Status::OK();
   }
+
+ private:
+  const bool durable_;
 };
 
 }  // namespace
 
 FileSystem* FileSystem::Default() {
-  static PosixFileSystem* posix = new PosixFileSystem();  // never destroyed
-  return posix;
+  static PosixFileSystem* posix = new PosixFileSystem(/*durable=*/true);
+  return posix;  // never destroyed
+}
+
+FileSystem* FileSystem::NonDurable() {
+  static PosixFileSystem* posix = new PosixFileSystem(/*durable=*/false);
+  return posix;  // never destroyed
 }
 
 }  // namespace tlp

@@ -52,6 +52,15 @@ class FileSystem {
   /// The process-wide POSIX filesystem. Never null; not owned.
   static FileSystem* Default();
 
+  /// Default() without the fsync(2) calls: WritableFile::Sync() still
+  /// flushes userspace buffers to the kernel and SyncDir() returns OK, so
+  /// every reader sees exactly what it would under Default(); only
+  /// power-loss durability is gone. For tests that sweep thousands of
+  /// failure points and assert what a reader sees after each one, where a
+  /// real fsync (tens of milliseconds on some disks) would dominate the
+  /// run. Never null; not owned.
+  static FileSystem* NonDurable();
+
   /// Creates (or truncates) `path` for writing.
   virtual Status NewWritableFile(const std::string& path,
                                  std::unique_ptr<WritableFile>* out) = 0;

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -57,8 +58,13 @@ std::vector<unsigned char> ReadFileBytes(const std::string& path) {
                                     std::istreambuf_iterator<char>());
 }
 
+/// Writes `bytes` as a new file at `path`. The old file is removed rather
+/// than truncated in place: on ext4, truncating a file that holds data
+/// waits for a writeback (auto_da_alloc), tens of milliseconds on a slow
+/// disk, and the torn-read sweeps rewrite once per byte.
 void WriteFileBytes(const std::string& path,
                     const std::vector<unsigned char>& bytes) {
+  std::remove(path.c_str());
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
@@ -355,18 +361,28 @@ void TornReadSweep(bool truncation_sweep) {
   const std::string resave_path = TempPath("torn_resave.tlps");
   RemoveAll(pristine_path);
 
+  // The sweep re-saves once per damaged variant and checks what a reader
+  // sees, so the saves skip fsync and never rename onto an existing file
+  // (ext4 waits for a writeback there, as in WriteFileBytes): either would
+  // dominate the run, and no crash is simulated here.
+  FileSystem* const fs = FileSystem::NonDurable();
+
   TwoLayerPlusGrid victim(TinyLayout());
   victim.Build(MakeData(8, 1));
-  ASSERT_TRUE(victim.Save(pristine_path).ok());
+  const auto resave = [&] {
+    std::remove(resave_path.c_str());
+    return victim.Save(resave_path, fs);
+  };
+  ASSERT_TRUE(victim.Save(pristine_path, fs).ok());
   // The header records the index's true memory footprint (capacity-based),
   // which differs between a freshly built index and one reconstituted by
   // Load. Round-trip once so the victim sits at its save/load fixed point;
   // from here every re-save of unchanged state is byte-identical.
   ASSERT_TRUE(victim.Load(pristine_path).ok());
-  ASSERT_TRUE(victim.Save(pristine_path).ok());
+  ASSERT_TRUE(victim.Save(pristine_path, fs).ok());
   const std::vector<unsigned char> pristine = ReadFileBytes(pristine_path);
   ASSERT_GT(pristine.size(), sizeof(std::uint64_t));
-  ASSERT_TRUE(victim.Save(resave_path).ok());
+  ASSERT_TRUE(resave().ok());
   ASSERT_EQ(ReadFileBytes(resave_path), pristine)
       << "save/load fixed point not reached; byte-compare sweep would be "
          "meaningless";
@@ -396,7 +412,7 @@ void TornReadSweep(bool truncation_sweep) {
     } else if (owned.ok()) {
       // A flip in CRC-uncovered alignment padding loads fine — but then it
       // must not have changed the logical content.
-      ASSERT_TRUE(victim.Save(resave_path).ok()) << "flip at " << i;
+      ASSERT_TRUE(resave().ok()) << "flip at " << i;
       EXPECT_EQ(ReadFileBytes(resave_path), pristine) << "flip at " << i;
       continue;  // victim re-verified; skip the untouched-state check
     } else {
@@ -404,7 +420,7 @@ void TornReadSweep(bool truncation_sweep) {
     }
 
     // The failed load left the victim bit-identical to its pre-load state.
-    ASSERT_TRUE(victim.Save(resave_path).ok()) << "variant " << i;
+    ASSERT_TRUE(resave().ok()) << "variant " << i;
     EXPECT_EQ(ReadFileBytes(resave_path), pristine) << "variant " << i;
   }
   RemoveAll(pristine_path);
@@ -456,6 +472,23 @@ TEST(LoadFaultPoints, InjectedReadAndMapFailuresAreIoErrors) {
     EXPECT_EQ(s.code(), StatusCode::kCorruption);
   }
   RemoveAll(path);
+}
+
+// The sweeps' NonDurable filesystem must differ from Default() only in
+// skipping fsync: a synced-but-unclosed file is fully visible to readers.
+TEST(NonDurableFs, SyncStillFlushesTheWriteBuffer) {
+  const std::string path = TempPath("non_durable.bin");
+  std::remove(path.c_str());
+  FileSystem* const fs = FileSystem::NonDurable();
+  std::unique_ptr<WritableFile> file;
+  ASSERT_TRUE(fs->NewWritableFile(path, &file).ok());
+  const std::vector<unsigned char> bytes = {1, 2, 3, 4, 5};
+  ASSERT_TRUE(file->Append(bytes.data(), bytes.size()).ok());
+  ASSERT_TRUE(file->Sync().ok());
+  EXPECT_EQ(ReadFileBytes(path), bytes);
+  EXPECT_TRUE(fs->SyncDir(DirnameOf(path)).ok());
+  ASSERT_TRUE(file->Close().ok());
+  std::remove(path.c_str());
 }
 
 }  // namespace

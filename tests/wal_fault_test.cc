@@ -19,6 +19,7 @@
 #include <sys/stat.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -54,6 +55,25 @@ std::string FreshDir(const std::string& name) {
 }
 
 GridLayout TinyLayout() { return GridLayout(Box{0, 0, 1, 1}, 2, 2); }
+
+/// The filesystem under every DurableLog here. The invariants concern what
+/// a reopen sees after an injected failure, which fsync does not change, so
+/// the sweeps skip it (it would dominate their thousands of reopens);
+/// FaultInjectingFs still counts and fails Sync and SyncDir like any op.
+FileSystem* SweepFs() { return FileSystem::NonDurable(); }
+
+/// Writes the first `n` of `bytes` as a new file at `path`. The old file is
+/// removed rather than truncated in place: on ext4, truncating a file that
+/// holds data waits for a writeback (auto_da_alloc), tens of milliseconds
+/// on a slow disk, and the tail sweeps rewrite once per byte or bit.
+void RewriteFile(const std::string& path,
+                 const std::vector<unsigned char>& bytes, std::size_t n) {
+  std::remove(path.c_str());
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(n));
+  ASSERT_TRUE(out.good()) << path;
+}
 
 Box BoxFor(std::uint32_t k) {
   const double x = 0.02 * static_cast<double>(k % 45);
@@ -125,14 +145,14 @@ void ExpectConsistentPrefix(const std::string& dir,
   // atomic rename: the database then never existed, which is only a
   // consistent outcome if nothing was acknowledged yet.
   WalDirInfo info;
-  ASSERT_TRUE(DurableLog::Inspect(dir, nullptr, &info).ok()) << context;
+  ASSERT_TRUE(DurableLog::Inspect(dir, SweepFs(), &info).ok()) << context;
   if (!info.has_full) {
     EXPECT_EQ(acked_floor, 0u)
         << context << ": acked ops but no full snapshot";
     return;
   }
   std::unique_ptr<DurableLog> log;
-  ASSERT_TRUE(DurableLog::Open(dir, DurableLog::Options{}, nullptr, &log)
+  ASSERT_TRUE(DurableLog::Open(dir, DurableLog::Options{}, SweepFs(), &log)
                   .ok())
       << context;
   std::unique_ptr<TwoLayerGrid> grid;
@@ -175,8 +195,7 @@ std::uint64_t RunProtocol(const std::string& dir, FileSystem* fs) {
   std::uint64_t seq = 0;
   {
     std::unique_ptr<DurableLog> reader;
-    if (!DurableLog::Open(dir, options, FileSystem::Default(), &reader)
-             .ok()) {
+    if (!DurableLog::Open(dir, options, SweepFs(), &reader).ok()) {
       return acked;
     }
     if (!reader->RecoverIndex(&grid, &seq).ok()) return acked;
@@ -191,7 +210,7 @@ std::uint64_t RunProtocol(const std::string& dir, FileSystem* fs) {
 TEST(WalFaultSweepTest, EveryOperationFailureRecoversToAConsistentPrefix) {
   // Clean run first: count the operations a fault-free protocol performs.
   const std::string clean_dir = FreshDir("wal_sweep_clean");
-  FaultInjectingFs counter;
+  FaultInjectingFs counter(SweepFs());
   const std::uint64_t clean_acked = RunProtocol(clean_dir, &counter);
   ASSERT_EQ(clean_acked, Script().size());
   ASSERT_FALSE(counter.fault_fired());
@@ -201,7 +220,7 @@ TEST(WalFaultSweepTest, EveryOperationFailureRecoversToAConsistentPrefix) {
   for (std::uint64_t k = 0; k < total_ops; ++k) {
     const std::string dir =
         FreshDir("wal_sweep_" + std::to_string(k));
-    FaultInjectingFs fs;
+    FaultInjectingFs fs(SweepFs());
     fs.FailOperation(k);
     const std::uint64_t acked = RunProtocol(dir, &fs);
     const std::string context = "fault at op " + std::to_string(k);
@@ -222,7 +241,7 @@ TEST(WalFaultSweepTest, EveryTailTruncationRecovers) {
   std::uint64_t committed = 0;
   {
     std::unique_ptr<DurableLog> log;
-    ASSERT_TRUE(DurableLog::Open(dir, options, nullptr, &log).ok());
+    ASSERT_TRUE(DurableLog::Open(dir, options, SweepFs(), &log).ok());
     TwoLayerGrid empty(TinyLayout());
     ASSERT_TRUE(log->Compact(empty, 0).ok());
     const std::vector<ScriptOp> ops = Script();
@@ -242,23 +261,13 @@ TEST(WalFaultSweepTest, EveryTailTruncationRecovers) {
 
   for (std::size_t cut = 0; cut <= full_bytes.size(); ++cut) {
     // Rewrite the segment as its cut-byte prefix, then recover.
-    {
-      std::ofstream out(seg_path, std::ios::binary | std::ios::trunc);
-      out.write(reinterpret_cast<const char*>(full_bytes.data()),
-                static_cast<std::streamsize>(cut));
-      ASSERT_TRUE(out.good());
-    }
+    ASSERT_NO_FATAL_FAILURE(RewriteFile(seg_path, full_bytes, cut));
     ExpectConsistentPrefix(dir, 0, "truncated to " + std::to_string(cut));
   }
   // Restore the full segment: recovery must see the entire history again
   // (the sweep's Opens only ever truncate invalid tails, and a valid file
   // has none).
-  {
-    std::ofstream out(seg_path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(full_bytes.data()),
-              static_cast<std::streamsize>(full_bytes.size()));
-    ASSERT_TRUE(out.good());
-  }
+  ASSERT_NO_FATAL_FAILURE(RewriteFile(seg_path, full_bytes, full_bytes.size()));
   ExpectConsistentPrefix(dir, committed, "restored full segment");
 }
 
@@ -270,7 +279,7 @@ TEST(WalFaultSweepTest, EverySingleBitFlipOfTheTailRecovers) {
   {
     std::unique_ptr<DurableLog> log;
     ASSERT_TRUE(
-        DurableLog::Open(dir, DurableLog::Options{}, nullptr, &log).ok());
+        DurableLog::Open(dir, DurableLog::Options{}, SweepFs(), &log).ok());
     TwoLayerGrid empty(TinyLayout());
     ASSERT_TRUE(log->Compact(empty, 0).ok());
     const std::vector<ScriptOp> ops = Script();
@@ -291,12 +300,7 @@ TEST(WalFaultSweepTest, EverySingleBitFlipOfTheTailRecovers) {
     std::vector<unsigned char> damaged = clean;
     damaged[bit / 8] =
         static_cast<unsigned char>(damaged[bit / 8] ^ (1u << (bit % 8)));
-    {
-      std::ofstream out(seg_path, std::ios::binary | std::ios::trunc);
-      out.write(reinterpret_cast<const char*>(damaged.data()),
-                static_cast<std::streamsize>(damaged.size()));
-      ASSERT_TRUE(out.good());
-    }
+    ASSERT_NO_FATAL_FAILURE(RewriteFile(seg_path, damaged, damaged.size()));
     // A flipped bit is disk corruption: recovery may surface a shortened
     // prefix (acked floor 0) but must stay consistent and must not crash.
     // Note Open truncates the detected-bad tail, so each iteration
@@ -316,7 +320,7 @@ TEST(WalFaultSweepTest, CrashDuringCompactionIsReplayIdempotent) {
   std::uint32_t want_digest = 0;
   {
     std::unique_ptr<DurableLog> log;
-    ASSERT_TRUE(DurableLog::Open(proto_dir, DurableLog::Options{}, nullptr,
+    ASSERT_TRUE(DurableLog::Open(proto_dir, DurableLog::Options{}, SweepFs(),
                                  &log)
                     .ok());
     TwoLayerGrid empty(TinyLayout());
@@ -336,7 +340,7 @@ TEST(WalFaultSweepTest, CrashDuringCompactionIsReplayIdempotent) {
     committed = log->durable_seq();
     std::unique_ptr<DurableLog> reader;
     ASSERT_TRUE(DurableLog::Open(proto_dir, DurableLog::Options{},
-                                 nullptr, &reader)
+                                 SweepFs(), &reader)
                     .ok());
     std::unique_ptr<TwoLayerGrid> grid;
     std::uint64_t seq = 0;
@@ -378,7 +382,7 @@ TEST(WalFaultSweepTest, CrashDuringCompactionIsReplayIdempotent) {
   const std::uint64_t total_ops = [&] {
     const std::string dir = FreshDir("wal_compact_count");
     clone_proto(dir);
-    FaultInjectingFs counter;
+    FaultInjectingFs counter(SweepFs());
     run_compact(dir, &counter);
     EXPECT_FALSE(counter.fault_fired());
     return counter.op_count();
@@ -388,7 +392,7 @@ TEST(WalFaultSweepTest, CrashDuringCompactionIsReplayIdempotent) {
   for (std::uint64_t k = 0; k < total_ops; ++k) {
     const std::string dir = FreshDir("wal_compact_" + std::to_string(k));
     clone_proto(dir);
-    FaultInjectingFs fs;
+    FaultInjectingFs fs(SweepFs());
     fs.FailOperation(k);
     run_compact(dir, &fs);
 
@@ -399,7 +403,7 @@ TEST(WalFaultSweepTest, CrashDuringCompactionIsReplayIdempotent) {
                                 std::to_string(k);
     {
       std::unique_ptr<DurableLog> log;
-      ASSERT_TRUE(DurableLog::Open(dir, DurableLog::Options{}, nullptr,
+      ASSERT_TRUE(DurableLog::Open(dir, DurableLog::Options{}, SweepFs(),
                                    &log)
                       .ok())
           << context;
