@@ -23,65 +23,6 @@ Coord CenterDistance(const Box& a, const Box& b) {
 
 }  // namespace
 
-std::vector<RankedEntry> KnnEntries(const TwoLayerGrid& grid, const Point& q,
-                                    std::size_t k,
-                                    const EntryPredicate& keep) {
-  std::vector<RankedEntry> results;
-  if (k == 0 || grid.entry_count() == 0) return results;
-
-  const GridLayout& g = grid.layout();
-  const Box& domain = g.domain();
-  // Doubling stops paying beyond this radius: every point of the DOMAIN is
-  // within it. Entries clamped into border tiles can sit farther out; the
-  // final infinite-radius probe covers those (as in KnnQuery).
-  const Coord max_radius =
-      std::max(std::abs(q.x - domain.xl), std::abs(domain.xu - q.x)) +
-      std::max(std::abs(q.y - domain.yl), std::abs(domain.yu - q.y));
-
-  // Expanding duplicate-free annulus probes, exactly as core/knn.cc, but
-  // only entries passing `keep` count toward the k target. Each probe
-  // appends the new annulus to `candidates`; the predicate runs once per
-  // object (the scan cursor never revisits a candidate).
-  Coord radius = 2 * std::max(g.tile_width(), g.tile_height()) *
-                 std::sqrt(static_cast<double>(k));
-  Coord prev_radius = -1;  // < 0: first probe scans the whole disk
-  bool final_probe = false;
-  std::vector<BoxEntry> candidates;
-  std::size_t scanned = 0;
-  for (;;) {
-    grid.DiskQueryEntries(q, radius, &candidates, prev_radius);
-    for (; scanned < candidates.size(); ++scanned) {
-      const BoxEntry& e = candidates[scanned];
-      if (keep && !keep(e)) continue;
-      results.push_back(RankedEntry{e, e.box.MinDistanceTo(q)});
-    }
-    if (results.size() >= k || final_probe) break;
-    prev_radius = radius;
-    if (radius >= max_radius) {
-      radius = std::numeric_limits<Coord>::infinity();
-      final_probe = true;
-    } else {
-      radius = std::min(max_radius, radius * 2);
-    }
-  }
-
-  // All matching candidates within the final radius are present and the
-  // k-th smallest matching distance is <= that radius, so the k smallest
-  // are the exact answer; ties beyond position k are cut by id.
-  auto by_rank = [](const RankedEntry& a, const RankedEntry& b) {
-    return a.distance != b.distance ? a.distance < b.distance
-                                    : a.entry.id < b.entry.id;
-  };
-  if (results.size() > k) {
-    std::nth_element(results.begin(),
-                     results.begin() + static_cast<std::ptrdiff_t>(k),
-                     results.end(), by_rank);
-    results.resize(k);
-  }
-  std::sort(results.begin(), results.end(), by_rank);
-  return results;
-}
-
 std::size_t ResolvedDivKnnFetch(const DivKnnOptions& opts) {
   constexpr std::size_t kMaxSize = std::numeric_limits<std::size_t>::max();
   std::size_t fetch = opts.fetch;

@@ -5,35 +5,15 @@
 #include <vector>
 
 #include "core/entry_predicate.h"
+#include "core/knn.h"
 #include "core/two_layer_grid.h"
 
 namespace tlp {
 
-/// A pool/result element of the diversified-kNN pipeline: the stored entry
-/// plus its relevance attribute, the MBR minimum distance to the query
-/// point (Box::MinDistanceTo).
-struct RankedEntry {
-  BoxEntry entry;
-  Coord distance = 0;
-
-  friend bool operator==(const RankedEntry& a, const RankedEntry& b) {
-    return a.entry.id == b.entry.id && a.entry.box == b.entry.box &&
-           a.distance == b.distance;
-  }
-};
-
-/// The k nearest entries to `q` that satisfy `keep`, with their boxes and
-/// distances, sorted by (distance, id). Same expanding-annulus algorithm as
-/// KnnQuery (core/knn.h) — duplicate-free §IV-E disk probes with geometric
-/// radius doubling, a domain-derived doubling bound, and a final
-/// infinite-radius probe for entries clamped into border tiles — except
-/// that candidates failing `keep` do not count toward k, so the disk keeps
-/// expanding until k *matching* candidates are in hand (or the data is
-/// exhausted). This is the fetch stage of DiversifiedKnnQuery, exposed
-/// separately for the query evaluator and for differential tests.
-std::vector<RankedEntry> KnnEntries(const TwoLayerGrid& grid, const Point& q,
-                                    std::size_t k,
-                                    const EntryPredicate& keep = {});
+// Diversified kNN is two stages: KnnEntries (core/knn.h) fetches a pool of
+// the nearest matching entries — seeded from the maintained object count,
+// with the tile-based fallback when that radius is not > 0 — and
+// DiversifiedReRank re-ranks it. Only the second stage lives here.
 
 struct DivKnnOptions {
   /// Number of results to return.

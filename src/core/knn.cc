@@ -3,13 +3,33 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numbers>
 
 namespace tlp {
 
-std::vector<KnnResult> KnnQuery(const TwoLayerGrid& grid, const Point& q,
-                                std::size_t k) {
-  std::vector<KnnResult> results;
-  if (k == 0 || grid.entry_count() == 0) return results;
+namespace {
+
+/// First probe radius (see KnnEntries in knn.h): the disk expected to hold
+/// ~2k of `objects` spread evenly over the domain, or the tile-based radius
+/// when that is not > 0. An infinite domain yields an infinite radius,
+/// which is a correct single probe.
+Coord SeedRadius(const GridLayout& g, std::size_t k, std::size_t objects) {
+  const Box& d = g.domain();
+  const double area = (d.xu - d.xl) * (d.yu - d.yl);
+  const Coord r0 = std::sqrt(2.0 * static_cast<double>(k) * area /
+                             (std::numbers::pi * static_cast<double>(objects)));
+  if (r0 > 0) return r0;  // false for 0 and NaN
+  return 2 * std::max(g.tile_width(), g.tile_height()) *
+         std::sqrt(static_cast<double>(k));
+}
+
+}  // namespace
+
+std::vector<RankedEntry> KnnEntries(const TwoLayerGrid& grid, const Point& q,
+                                    std::size_t k,
+                                    const EntryPredicate& keep) {
+  std::vector<RankedEntry> results;
+  if (k == 0 || grid.object_count() == 0) return results;
 
   const GridLayout& g = grid.layout();
   const Box& domain = g.domain();
@@ -21,28 +41,30 @@ std::vector<KnnResult> KnnQuery(const TwoLayerGrid& grid, const Point& q,
       std::max(std::abs(q.x - domain.xl), std::abs(domain.xu - q.x)) +
       std::max(std::abs(q.y - domain.yl), std::abs(domain.yu - q.y));
 
-  // Seed radius: a few tiles usually hold enough candidates; grow
-  // geometrically on miss. Every probe is a duplicate-free §IV-E disk
-  // query restricted to the annulus beyond the previous radius: the
-  // candidate set is kept across doublings, so tiles fully inside the
-  // previous probe are skipped instead of re-scanned and every object is
-  // distance-tested at most once. The accumulated set after the last probe
-  // equals a single full-disk query at the final radius.
-  Coord radius = 2 * std::max(g.tile_width(), g.tile_height()) *
-                 std::sqrt(static_cast<double>(k));
+  // Each probe appends the annulus beyond the previous radius to
+  // `candidates`; the predicate and the distance run once per object (the
+  // scan cursor never revisits a candidate). The accumulated set after the
+  // last probe equals a single full-disk query at the final radius.
+  Coord radius = SeedRadius(g, k, grid.object_count());
   Coord prev_radius = -1;  // < 0: first probe scans the whole disk
   bool final_probe = false;
   std::vector<BoxEntry> candidates;
+  std::size_t scanned = 0;
   for (;;) {
     grid.DiskQueryEntries(q, radius, &candidates, prev_radius);
-    if (candidates.size() >= k || final_probe) break;
+    for (; scanned < candidates.size(); ++scanned) {
+      const BoxEntry& e = candidates[scanned];
+      if (keep && !keep(e)) continue;
+      results.push_back(RankedEntry{e, e.box.MinDistanceTo(q)});
+    }
+    if (results.size() >= k || final_probe) break;
     prev_radius = radius;
     if (radius >= max_radius) {
       // Beyond max_radius the whole domain is covered, but entries CLAMPED
       // into border tiles can sit arbitrarily far outside it. One last
       // annulus probe at infinite radius picks those up (an infinite disk's
       // tile range is every tile, and sqrt/distance arithmetic is
-      // inf-clean), so k results are returned whenever k objects exist
+      // inf-clean), so k results are returned whenever k objects match
       // instead of silently fewer.
       radius = std::numeric_limits<Coord>::infinity();
       final_probe = true;
@@ -51,22 +73,31 @@ std::vector<KnnResult> KnnQuery(const TwoLayerGrid& grid, const Point& q,
     }
   }
 
-  results.reserve(candidates.size());
-  for (const BoxEntry& e : candidates) {
-    results.push_back(KnnResult{e.box.MinDistanceTo(q), e.id});
-  }
-  auto by_distance = [](const KnnResult& a, const KnnResult& b) {
-    return a.distance != b.distance ? a.distance < b.distance : a.id < b.id;
+  // All matching candidates within the final radius are present and the
+  // k-th smallest matching distance is <= that radius, so the k smallest
+  // are the exact answer; ties beyond position k are cut by id.
+  auto by_rank = [](const RankedEntry& a, const RankedEntry& b) {
+    return a.distance != b.distance ? a.distance < b.distance
+                                    : a.entry.id < b.entry.id;
   };
   if (results.size() > k) {
-    // All candidates within `radius` are present and the k-th smallest
-    // distance is <= radius, so the k smallest are the exact answer.
     std::nth_element(results.begin(),
                      results.begin() + static_cast<std::ptrdiff_t>(k),
-                     results.end(), by_distance);
+                     results.end(), by_rank);
     results.resize(k);
   }
-  std::sort(results.begin(), results.end(), by_distance);
+  std::sort(results.begin(), results.end(), by_rank);
+  return results;
+}
+
+std::vector<KnnResult> KnnQuery(const TwoLayerGrid& grid, const Point& q,
+                                std::size_t k) {
+  const std::vector<RankedEntry> ranked = KnnEntries(grid, q, k);
+  std::vector<KnnResult> results;
+  results.reserve(ranked.size());
+  for (const RankedEntry& r : ranked) {
+    results.push_back(KnnResult{r.distance, r.entry.id});
+  }
   return results;
 }
 

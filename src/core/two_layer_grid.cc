@@ -33,6 +33,7 @@ TwoLayerGrid::TwoLayerGrid(const GridLayout& layout)
 void TwoLayerGrid::RebuildOccupancy() {
   occupancy_.Reset(tiles_.size());
   class_a_extent_.assign(tiles_.size(), Box::Empty());
+  object_count_ = 0;
   has_out_of_domain_ = false;
   const std::size_t a = SegmentOf(ObjectClass::kA);
   for (std::size_t t = 0; t < tiles_.size(); ++t) {
@@ -40,7 +41,9 @@ void TwoLayerGrid::RebuildOccupancy() {
     if (tile.empty()) continue;
     occupancy_.Set(t);
     // Every stored object is class A of exactly one tile, so the class-A
-    // segments alone see each object once for the out-of-domain flag.
+    // segments alone see each object once for the count and the
+    // out-of-domain flag.
+    object_count_ += tile.begin[a + 1] - tile.begin[a];
     for (std::uint32_t k = tile.begin[a]; k < tile.begin[a + 1]; ++k) {
       const Box& b = tile.entries[k].box;
       GrowClassAExtent(t, b);
@@ -255,6 +258,7 @@ void TwoLayerGrid::Insert(const BoxEntry& entry) {
       for (std::size_t k = seg + 1; k <= kNumClasses; ++k) ++tile.begin[k];
       if (seg == SegmentOf(ObjectClass::kA)) {
         GrowClassAExtent(tile_id, entry.box);
+        ++object_count_;
       }
     }
   }
@@ -283,6 +287,7 @@ bool TwoLayerGrid::Delete(ObjectId id, const Box& box) {
         v.pop_back();
         for (std::size_t t = seg + 1; t <= kNumClasses; ++t) --tile.begin[t];
         if (v.empty()) occupancy_.Clear(tile_id);
+        if (seg == SegmentOf(ObjectClass::kA)) --object_count_;
         found = true;
         break;
       }
@@ -608,6 +613,7 @@ std::size_t TwoLayerGrid::ClassCount(std::uint32_t i, std::uint32_t j,
 bool TwoLayerGrid::CheckInvariants() const {
   if (occupancy_.bit_count() != tiles_.size()) return false;
   if (class_a_extent_.size() != tiles_.size()) return false;
+  std::size_t class_a_total = 0;
   for (std::uint32_t j = 0; j < layout_.ny(); ++j) {
     for (std::uint32_t i = 0; i < layout_.nx(); ++i) {
       const Tile& tile = tiles_[layout_.TileId(i, j)];
@@ -634,15 +640,17 @@ bool TwoLayerGrid::CheckInvariants() const {
       // The class-A extent must bound every class-A box, or the skyline's
       // tile pruning would skip entries it has to consider. No extent
       // Contains a NaN box, so only an unbounded one admits it.
+      const std::size_t a = SegmentOf(ObjectClass::kA);
+      class_a_total += tile.begin[a + 1] - tile.begin[a];
       const Box& ext = class_a_extent_[layout_.TileId(i, j)];
       if (ext == Unbounded()) continue;
-      const std::size_t a = SegmentOf(ObjectClass::kA);
       for (std::uint32_t k = tile.begin[a]; k < tile.begin[a + 1]; ++k) {
         if (!ext.Contains(tile.entries[k].box)) return false;
       }
     }
   }
-  return true;
+  // KNN's emptiness test and seed radius read the maintained count.
+  return class_a_total == object_count_;
 }
 
 std::pair<const BoxEntry*, std::size_t> TwoLayerGrid::ClassSpan(

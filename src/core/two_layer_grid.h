@@ -124,8 +124,13 @@ class TwoLayerGrid final : public PersistentIndex {
   const GridLayout& layout() const { return layout_; }
 
   /// Total number of stored (MBR, id) entries, replicas included. Same value
-  /// as the equally-partitioned 1-layer grid (paper §VII-B).
+  /// as the equally-partitioned 1-layer grid (paper §VII-B). O(tiles).
   std::size_t entry_count() const;
+
+  /// Number of stored objects: every object is class A of exactly one tile
+  /// (Lemmas 1-2), so this is the class-A entry count. O(1), maintained by
+  /// Build/Insert/Delete and recomputed on snapshot loads.
+  std::size_t object_count() const { return object_count_; }
 
   /// Number of entries of `c` in tile (i, j); exposed for tests.
   std::size_t ClassCount(std::uint32_t i, std::uint32_t j,
@@ -154,9 +159,10 @@ class TwoLayerGrid final : public PersistentIndex {
   /// Full structural check of every tile's segmented vector: begin[0] == 0,
   /// begin[] monotone, begin[kNumClasses] == entries.size(), and every entry
   /// stored in the segment of its class — plus the occupancy bitset agreeing
-  /// with every tile's emptiness and the class-A extent containing every
-  /// class-A box of its tile (or being unbounded). O(total entries); for
-  /// tests — the Insert/Delete logic must preserve all six properties.
+  /// with every tile's emptiness, the class-A extent containing every
+  /// class-A box of its tile (or being unbounded) and object_count()
+  /// equalling the class-A total. O(total entries); for tests — the
+  /// Insert/Delete logic must preserve all seven properties.
   bool CheckInvariants() const;
 
   /// Per-tile occupancy bits (set iff the tile holds entries); queries use
@@ -188,10 +194,10 @@ class TwoLayerGrid final : public PersistentIndex {
   /// Rejects updates while frozen (mapped); throws std::logic_error.
   void RequireMutable(const char* op) const;
 
-  /// Recomputes the occupancy bitset, the class-A extents and the
-  /// out-of-domain flag from the tiles in one pass over the class-A
+  /// Recomputes the occupancy bitset, the class-A extents, the object count
+  /// and the out-of-domain flag from the tiles in one pass over the class-A
   /// segments (every stored object is class A in exactly one tile).
-  /// O(entries); used after bulk loads and snapshot loads (all three are
+  /// O(entries); used after bulk loads and snapshot loads (all four are
   /// derived state and not persisted — rebuilding keeps the snapshot format
   /// unchanged).
   void RebuildOccupancy();
@@ -239,6 +245,8 @@ class TwoLayerGrid final : public PersistentIndex {
   /// has_out_of_domain_. Recomputed exactly by RebuildOccupancy on
   /// bulk/snapshot loads; not persisted.
   std::vector<Box> class_a_extent_;
+  /// Number of class-A entries over all tiles, i.e. stored objects.
+  std::size_t object_count_ = 0;
   /// True if any stored entry lies (partly) outside the declared domain.
   /// Such entries are clamped into border tiles whose boxes do not bound
   /// them, so disk queries must treat border tiles conservatively: no

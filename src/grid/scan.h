@@ -79,56 +79,16 @@ inline simd::LaneBounds LaneBoundsForMask(const Box& w, unsigned mask) {
   return b;
 }
 
-/// Vectorized runtime-mask scan: one transposed 4-box kernel per group of
-/// four entries instead of 16 specialized loops; runs of all-miss and
-/// all-hit skip the per-entry bit walk. Emit order is identical to the
-/// scalar ScanPartition — ascending k, one emit per surviving entry
-/// (tests/simd_test.cc proves it differentially for all 16 masks).
-///
-/// Measured on the Fig. 9 workloads, the dispatcher below does NOT route
-/// through this kernel: border-tile scans are drop-heavy and spatially
-/// coherent, so the specialized scalar loops retire about one
-/// well-predicted comparison per entry and the transpose + movemask per
-/// group costs more than the comparisons it saves (the zipf 1-layer rows
-/// regressed up to 45% when corner tiles took this path). It stays as the
-/// tested building block for evaluation paths with different shapes — the
-/// 2-layer+ residual verification uses the same kernels per entry, where
-/// mixed pass/fail outcomes defeat the branch predictor.
-template <typename Emit>
-inline void ScanPartitionSimd(unsigned mask, const BoxEntry* data,
-                              std::size_t n, const Box& w, Emit&& emit) {
-  mask &= 15u;
-  if (mask == 0) {
-    for (std::size_t k = 0; k < n; ++k) emit(data[k]);
-    return;
-  }
-  if (n == 0) return;
-  const simd::LaneBounds lb = LaneBoundsForMask(w, mask);
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const Coord* lanes[4] = {&data[k].box.xl, &data[k + 1].box.xl,
-                             &data[k + 2].box.xl, &data[k + 3].box.xl};
-    const unsigned hits = simd::MatchesMask4(lanes, lb);
-    if (hits == 0) continue;
-    if (hits == 15u) {
-      emit(data[k]);
-      emit(data[k + 1]);
-      emit(data[k + 2]);
-      emit(data[k + 3]);
-      continue;
-    }
-    for (unsigned s = 0; s < 4; ++s) {
-      if ((hits >> s) & 1u) emit(data[k + s]);
-    }
-  }
-  for (; k < n; ++k) {
-    if (simd::Matches(&data[k].box.xl, lb)) emit(data[k]);
-  }
-}
-
 /// Runtime-mask dispatcher over the 16 ScanPartition instantiations. Every
-/// mask keeps its specialized short-circuit scalar loop — see the
-/// ScanPartitionSimd note for the measurement behind that choice.
+/// mask keeps its specialized short-circuit scalar loop: measured on the
+/// Fig. 9 workloads, border-tile scans are drop-heavy and spatially
+/// coherent, so these loops retire about one well-predicted comparison per
+/// entry, and a transposed 4-box vector kernel (transpose + movemask per
+/// group) cost more than the comparisons it saved — the zipf 1-layer rows
+/// regressed up to 45% when corner tiles took that path. The vector kernels
+/// (LaneBoundsForMask + simd::MatchesMask4) serve the 2-layer+ residual
+/// verification instead, where mixed pass/fail outcomes defeat the branch
+/// predictor.
 template <typename Emit>
 inline void ScanPartitionDispatch(unsigned mask, const BoxEntry* data,
                                   std::size_t n, const Box& w, Emit&& emit) {

@@ -755,15 +755,4 @@ std::uint32_t LiveSetDigest(const TwoLayerGrid& grid) {
   return crc;
 }
 
-std::size_t LiveObjectCount(const TwoLayerGrid& grid) {
-  std::size_t count = 0;
-  const GridLayout& layout = grid.layout();
-  for (std::uint32_t j = 0; j < layout.ny(); ++j) {
-    for (std::uint32_t i = 0; i < layout.nx(); ++i) {
-      count += grid.ClassSpan(i, j, ObjectClass::kA).second;
-    }
-  }
-  return count;
-}
-
 }  // namespace tlp

@@ -209,11 +209,6 @@ class DurableLog {
 /// compare recovered states across restarts and compactions.
 [[nodiscard]] std::uint32_t LiveSetDigest(const TwoLayerGrid& grid);
 
-/// Number of live objects in the grid: class-A entries only, i.e. one per
-/// object. `TwoLayerGrid::entry_count()` counts replicas too, so it is NOT
-/// comparable to `ConcurrentTwoLayerGrid::live_count()`; this is.
-[[nodiscard]] std::size_t LiveObjectCount(const TwoLayerGrid& grid);
-
 }  // namespace tlp
 
 #endif  // TLP_WAL_DURABLE_LOG_H_

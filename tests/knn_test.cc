@@ -174,6 +174,52 @@ TEST(KnnTest, MixedInAndOutOfDomainEntriesMatchOracle) {
   }
 }
 
+/// The seed radius comes from the object density, sqrt(2k * area /
+/// (pi * objects)). On a 1e-300 x 1e-30 domain the area underflows to 0, so
+/// that radius is 0 and doubling would never grow it: the search must fall
+/// back to the tile-based seed and still reach the far-corner object.
+TEST(KnnTest, SeedNeverStallsWhenTheDomainAreaUnderflows) {
+  const Box domain{0, 0, 1e-300, 1e-30};
+  ASSERT_EQ(domain.xu * domain.yu, 0.0);  // the area underflows
+  const std::vector<BoxEntry> data = {
+      BoxEntry{Box{0, 0, 1e-303, 1e-33}, 7}};
+  TwoLayerGrid grid(GridLayout(domain, 4, 4));
+  grid.Build(data);
+  const Point q{1e-300, 1e-30};
+  const auto res = KnnQuery(grid, q, 1);
+  EXPECT_EQ(res, BruteForceKnn(data, q, 1));
+  ASSERT_EQ(res.size(), 1u);
+  EXPECT_EQ(res[0].id, 7u);
+  const auto entries = KnnEntries(grid, q, 3);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].entry.id, 7u);
+  EXPECT_EQ(entries[0].distance, res[0].distance);
+}
+
+/// The maintained object count feeds both the emptiness test and the seed:
+/// it must follow Insert/Delete (replicated objects included) and return to
+/// 0 once every object is gone, at which point KNN answers empty.
+TEST(KnnTest, ObjectCountFollowsUpdatesAndEmptiesKnn) {
+  const auto data = testing::RandomEntries(300, 0.2, 181);
+  TwoLayerGrid grid(GridLayout(kUnit, 8, 8));
+  grid.Build(data);
+  EXPECT_EQ(grid.object_count(), data.size());
+  const Point q{0.4, 0.6};
+  EXPECT_EQ(KnnQuery(grid, q, 5), BruteForceKnn(data, q, 5));
+  for (std::size_t n = 0; n < data.size(); ++n) {
+    ASSERT_TRUE(grid.Delete(data[n].id, data[n].box));
+    ASSERT_EQ(grid.object_count(), data.size() - n - 1);
+  }
+  EXPECT_FALSE(grid.Delete(data[0].id, data[0].box));
+  EXPECT_EQ(grid.object_count(), 0u);
+  EXPECT_TRUE(grid.CheckInvariants());
+  EXPECT_TRUE(KnnQuery(grid, q, 5).empty());
+  EXPECT_TRUE(KnnEntries(grid, q, 5).empty());
+  grid.Insert(data[1]);
+  EXPECT_EQ(grid.object_count(), 1u);
+  EXPECT_EQ(KnnQuery(grid, q, 5), BruteForceKnn({data[1]}, q, 5));
+}
+
 TEST(KnnTest, ResultsAreSortedByDistance) {
   const auto data = testing::RandomEntries(500, 0.02, 176);
   TwoLayerGrid grid(GridLayout(kUnit, 16, 16));

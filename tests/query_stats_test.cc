@@ -4,14 +4,15 @@
 // objects), while the 1-layer baselines generate duplicates and eliminate
 // them after the fact (posthoc_dedup > 0). Also covers comparison counting
 // (Table II), per-thread merging through BatchExecutor, refinement hit/miss
-// accounting, and exact candidate counts on the bulk interior-tile append
-// and the 2-layer+ residual kernel.
+// accounting, exact candidate counts on the bulk interior-tile append and
+// the 2-layer+ residual kernel, and the candidates a kNN search fetches.
 
 #include "common/query_stats.h"
 
 #include "gtest/gtest.h"
 
 #include "batch/batch_executor.h"
+#include "core/knn.h"
 #include "core/refinement.h"
 #include "core/two_layer_grid.h"
 #include "core/two_layer_plus_grid.h"
@@ -265,6 +266,40 @@ TEST_F(EnabledQueryStatsTest, DiskQueriesFollowTheSameDuplicateContract) {
                        0.1 + rng2.NextDouble() * 0.3, &out);
   }
   EXPECT_GT(GetQueryStats().posthoc_dedup, 0u);
+}
+
+/// kNN fetches O(k) candidates, not O(tiles): on servebench's data shape
+/// (16 objects per tile, object side a quarter tile) the density-derived
+/// seed radius expects ~2*k objects in its first disk, and the search
+/// fetches ~3*k here (30 per query). The old seed, 2 * tile * sqrt(k),
+/// fetched ~180*k (1,784 per query). The count is deterministic, so a seed
+/// regression fails this test instead of only a benchmark.
+TEST_F(EnabledQueryStatsTest, KnnFetchesFewCandidatesOnUniformData) {
+  constexpr std::uint32_t kDim = 32;
+  constexpr std::size_t kObjects = 16 * kDim * kDim;
+  constexpr double kSide = 1.0 / (4 * kDim);
+  Rng rng(95);
+  std::vector<BoxEntry> entries;
+  for (std::size_t n = 0; n < kObjects; ++n) {
+    const double x = rng.NextDouble() * (1 - kSide);
+    const double y = rng.NextDouble() * (1 - kSide);
+    entries.push_back(
+        BoxEntry{Box{x, y, x + kSide, y + kSide}, static_cast<ObjectId>(n)});
+  }
+  TwoLayerGrid grid(GridLayout(kUnit, kDim, kDim));
+  grid.Build(entries);
+
+  constexpr std::size_t kK = 10;
+  constexpr std::size_t kQueries = 100;
+  ResetQueryStats();
+  for (std::size_t t = 0; t < kQueries; ++t) {
+    const Point q{rng.NextDouble(), rng.NextDouble()};
+    ASSERT_EQ(KnnQuery(grid, q, kK).size(), kK);
+  }
+  const double mean_candidates =
+      static_cast<double>(GetQueryStats().candidates) / kQueries;
+  EXPECT_GE(mean_candidates, static_cast<double>(kK));
+  EXPECT_LT(mean_candidates, 10.0 * kK);
 }
 
 TEST_F(EnabledQueryStatsTest, BatchExecutorMergesWorkerStatsOnWait) {

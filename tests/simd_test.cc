@@ -26,52 +26,19 @@ constexpr Coord kNaN = std::numeric_limits<Coord>::quiet_NaN();
 
 const Box kW{0.3, 0.3, 0.7, 0.7};
 
-/// The scalar reference dispatch: always the 16 ScanPartition template
-/// instantiations, regardless of how the build routes the production
-/// ScanPartitionDispatch.
+/// The production scalar scan: ScanPartitionDispatch routes every mask to
+/// its specialized ScanPartition loop.
 std::vector<ObjectId> ScanScalar(unsigned mask,
                                  const std::vector<BoxEntry>& data,
                                  const Box& w) {
   std::vector<ObjectId> out;
-  auto emit = [&](const BoxEntry& e) { out.push_back(e.id); };
-  switch (mask & 15u) {
-#define TLP_TEST_SCAN_CASE(M) \
-  case M:                     \
-    ScanPartition<M>(data.data(), data.size(), w, emit); \
-    break;
-    TLP_TEST_SCAN_CASE(0u)
-    TLP_TEST_SCAN_CASE(1u)
-    TLP_TEST_SCAN_CASE(2u)
-    TLP_TEST_SCAN_CASE(3u)
-    TLP_TEST_SCAN_CASE(4u)
-    TLP_TEST_SCAN_CASE(5u)
-    TLP_TEST_SCAN_CASE(6u)
-    TLP_TEST_SCAN_CASE(7u)
-    TLP_TEST_SCAN_CASE(8u)
-    TLP_TEST_SCAN_CASE(9u)
-    TLP_TEST_SCAN_CASE(10u)
-    TLP_TEST_SCAN_CASE(11u)
-    TLP_TEST_SCAN_CASE(12u)
-    TLP_TEST_SCAN_CASE(13u)
-    TLP_TEST_SCAN_CASE(14u)
-    TLP_TEST_SCAN_CASE(15u)
-#undef TLP_TEST_SCAN_CASE
-  }
-  return out;
-}
-
-std::vector<ObjectId> ScanSimd(unsigned mask,
-                               const std::vector<BoxEntry>& data,
-                               const Box& w) {
-  std::vector<ObjectId> out;
-  ScanPartitionSimd(mask, data.data(), data.size(), w,
-                    [&](const BoxEntry& e) { out.push_back(e.id); });
+  ScanPartitionDispatch(mask, data.data(), data.size(), w,
+                        [&](const BoxEntry& e) { out.push_back(e.id); });
   return out;
 }
 
 /// Random boxes salted with boundary-heavy cases: coordinates exactly on the
-/// window edges, infinities, and NaNs. Sizes around the group-of-4 kernel's
-/// tail boundaries are exercised by the caller.
+/// window edges, infinities, and NaNs.
 std::vector<BoxEntry> MixedEntries(Rng* rng, std::size_t n) {
   const Coord specials[] = {kW.xl, kW.xu, kW.yl, kW.yu, 0.0,  1.0,
                             -kInf, kInf,  kNaN,  0.5,   0.29, 0.71};
@@ -92,35 +59,6 @@ std::vector<BoxEntry> MixedEntries(Rng* rng, std::size_t n) {
                             static_cast<ObjectId>(k)});
   }
   return data;
-}
-
-TEST(SimdScanTest, AllMasksMatchScalarOnRandomizedBoundaryInputs) {
-  Rng rng(1031);
-  // Sizes straddle the group-of-4 main loop and its scalar tail.
-  for (const std::size_t n : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 64u, 257u}) {
-    const std::vector<BoxEntry> data = MixedEntries(&rng, n);
-    for (unsigned mask = 0; mask < 16; ++mask) {
-      EXPECT_EQ(ScanSimd(mask, data, kW), ScanScalar(mask, data, kW))
-          << "mask=" << mask << " n=" << n;
-    }
-  }
-}
-
-TEST(SimdScanTest, AllMasksMatchScalarOnDegenerateWindows) {
-  Rng rng(1033);
-  const std::vector<BoxEntry> data = MixedEntries(&rng, 100);
-  const Box windows[] = {
-      Box{0.5, 0.5, 0.5, 0.5},      // point window
-      Box{0.7, 0.3, 0.3, 0.7},      // inverted
-      Box{-kInf, -kInf, kInf, kInf},
-      Box{kNaN, 0.3, 0.7, kNaN},    // NaN edges
-  };
-  for (const Box& w : windows) {
-    for (unsigned mask = 0; mask < 16; ++mask) {
-      EXPECT_EQ(ScanSimd(mask, data, w), ScanScalar(mask, data, w))
-          << "mask=" << mask;
-    }
-  }
 }
 
 TEST(SimdScanTest, MatchesAgreesWithPassesComparisonMask) {
@@ -178,7 +116,8 @@ TEST(SimdScanTest, NaNCoordinatesAreKeptLikeScalar) {
   // would invert this; the drop-form kernel must not.
   const std::vector<BoxEntry> data = {{Box{kNaN, kNaN, kNaN, kNaN}, 7}};
   for (unsigned mask = 0; mask < 16; ++mask) {
-    EXPECT_EQ(ScanSimd(mask, data, kW).size(), 1u) << "mask=" << mask;
+    EXPECT_TRUE(simd::Matches(&data[0].box.xl, LaneBoundsForMask(kW, mask)))
+        << "mask=" << mask;
     EXPECT_EQ(ScanScalar(mask, data, kW).size(), 1u) << "mask=" << mask;
   }
 }

@@ -415,7 +415,7 @@ int CmdWalReplay(const Options& opt) {
       "\"records_replayed\": %llu, "
       "\"records_skipped\": %llu, \"recover_seconds\": %.4f}\n",
       opt.path.c_str(), static_cast<unsigned long long>(seq),
-      grid->entry_count(), tlp::LiveObjectCount(*grid),
+      grid->entry_count(), grid->object_count(),
       static_cast<unsigned long>(tlp::LiveSetDigest(*grid)),
       static_cast<unsigned long long>(ws.records_replayed),
       static_cast<unsigned long long>(ws.records_skipped), recover_seconds);
@@ -437,7 +437,7 @@ int CmdCompact(const Options& opt) {
       "{\"dir\": \"%s\", \"compacted_seq\": %llu, \"entries\": %zu, "
       "\"live_objects\": %zu, \"live_digest\": %lu}\n",
       opt.path.c_str(), static_cast<unsigned long long>(seq),
-      grid->entry_count(), tlp::LiveObjectCount(*grid),
+      grid->entry_count(), grid->object_count(),
       static_cast<unsigned long>(tlp::LiveSetDigest(*grid)));
   return kExitOk;
 }
