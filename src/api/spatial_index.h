@@ -93,39 +93,6 @@ class PersistentIndex : public SpatialIndex {
   [[nodiscard]] virtual Status Thaw() { return Status::OK(); }
 };
 
-/// Reference implementation of the query contract by exhaustive scan; the
-/// correctness oracle for every index in tests.
-class BruteForceIndex final : public SpatialIndex {
- public:
-  BruteForceIndex() = default;
-  explicit BruteForceIndex(std::vector<BoxEntry> entries)
-      : entries_(std::move(entries)) {}
-
-  void WindowQuery(const Box& w, std::vector<ObjectId>* out) const override {
-    for (const BoxEntry& e : entries_) {
-      if (e.box.Intersects(w)) out->push_back(e.id);
-    }
-  }
-
-  void DiskQuery(const Point& q, Coord radius,
-                 std::vector<ObjectId>* out) const override {
-    for (const BoxEntry& e : entries_) {
-      if (e.box.MinDistanceTo(q) <= radius) out->push_back(e.id);
-    }
-  }
-
-  void Insert(const BoxEntry& entry) override { entries_.push_back(entry); }
-
-  [[nodiscard]] std::size_t SizeBytes() const override {
-    return entries_.capacity() * sizeof(BoxEntry);
-  }
-
-  [[nodiscard]] std::string name() const override { return "brute-force"; }
-
- private:
-  std::vector<BoxEntry> entries_;
-};
-
 }  // namespace tlp
 
 #endif  // TLP_API_SPATIAL_INDEX_H_

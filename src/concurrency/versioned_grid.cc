@@ -13,8 +13,8 @@ namespace {
 /// Advances (*chunk, *base) along the chain until the chunk containing op
 /// index `target` — or the last allocated chunk when `target` is exactly
 /// one chunk boundary past it (the next append will link the successor
-/// before publishing any op a reader could seek to). Caller must hold the
-/// writer mutex or a pin on a version whose window covers `target`.
+/// before publishing any op). Caller must hold the writer mutex, or (the
+/// merge's fold) seek only to ops published before it read the chain.
 void SeekChunk(std::shared_ptr<const DeltaChunk>* chunk, std::uint64_t* base,
                std::uint64_t target) {
   while (target >= *base + DeltaChunk::kCap && (*chunk)->next != nullptr) {
@@ -23,7 +23,21 @@ void SeekChunk(std::shared_ptr<const DeltaChunk>* chunk, std::uint64_t* base,
   }
 }
 
-bool ById(const BoxEntry& a, const BoxEntry& b) { return a.id < b.id; }
+bool IdBelow(const BoxEntry& e, ObjectId id) { return e.id < id; }
+
+ObjectId IdOf(ObjectId id) { return id; }
+ObjectId IdOf(const BoxEntry& e) { return e.id; }
+void Add(std::vector<ObjectId>* v, const BoxEntry& e) { v->push_back(e.id); }
+void Add(std::vector<BoxEntry>* v, const BoxEntry& e) { v->push_back(e); }
+
+/// True iff object `id` is live in `v` with exactly `box` (caller holds the
+/// writer mutex, so the published `v` cannot retire).
+bool LiveWithBox(const Version& v, ObjectId id, const Box& box) {
+  if (!v.overlay.Touched(id)) return v.base->Contains(BoxEntry{box, id});
+  const std::vector<BoxEntry>& ins = v.overlay.inserted;
+  auto it = std::lower_bound(ins.begin(), ins.end(), id, IdBelow);
+  return it != ins.end() && it->id == id && it->box == box;
+}
 
 bool ByRank(const RankedEntry& a, const RankedEntry& b) {
   return a.distance != b.distance ? a.distance < b.distance
@@ -31,6 +45,15 @@ bool ByRank(const RankedEntry& a, const RankedEntry& b) {
 }
 
 }  // namespace
+
+void DeltaOverlay::Apply(const DeltaOp& op) {
+  const ObjectId id = op.entry.id;
+  auto t = std::lower_bound(touched.begin(), touched.end(), id);
+  if (t == touched.end() || *t != id) touched.insert(t, id);
+  auto it = std::lower_bound(inserted.begin(), inserted.end(), id, IdBelow);
+  if (it != inserted.end() && it->id == id) it = inserted.erase(it);
+  if (op.kind == DeltaOp::Kind::kInsert) inserted.insert(it, op.entry);
+}
 
 ConcurrentTwoLayerGrid::ConcurrentTwoLayerGrid(TwoLayerGrid base)
     : ConcurrentTwoLayerGrid(std::move(base), Options()) {}
@@ -54,7 +77,7 @@ ConcurrentTwoLayerGrid::ConcurrentTwoLayerGrid(TwoLayerGrid base,
   }
   live_count_.store(live_ids_.size(), std::memory_order_relaxed);
   tail_ = std::make_shared<DeltaChunk>();
-  published_.store(new Version{std::move(owned), tail_, 0, 0, 0});
+  published_.store(new Version{std::move(owned), tail_, 0, 0, 0, {}});
 }
 
 ConcurrentTwoLayerGrid::~ConcurrentTwoLayerGrid() {
@@ -102,6 +125,9 @@ Status ConcurrentTwoLayerGrid::InsertDurable(const BoxEntry& entry,
   std::uint64_t seq = 0;
   DurableLog* wal = nullptr;
   {
+    if (entry.box.HasNaN()) {
+      return Status::InvalidArgument("insert: box has a NaN coordinate");
+    }
     MutexLock lock(writer_mu_);
     if (live_ids_.count(entry.id) != 0) return Status::OK();  // duplicate
     wal = wal_;
@@ -131,7 +157,8 @@ Status ConcurrentTwoLayerGrid::DeleteDurable(ObjectId id, const Box& box,
   DurableLog* wal = nullptr;
   {
     MutexLock lock(writer_mu_);
-    if (live_ids_.count(id) == 0) return Status::OK();  // not live
+    // Another box would make the merge's Delete miss and replay fail.
+    if (!LiveWithBox(*published_.load(), id, box)) return Status::OK();
     wal = wal_;
     if (wal != nullptr) {
       seq = wal_base_ + total_ops_ + 1;
@@ -190,8 +217,10 @@ void ConcurrentTwoLayerGrid::AppendLocked(const DeltaOp& op) {
   tail_->ops[idx - tail_base_] = op;
   ++total_ops_;
   const Version& cur = *published_.load();
-  PublishLocked(new Version{cur.base, cur.delta_head, cur.head_base,
-                            cur.delta_begin, total_ops_});
+  auto* next = new Version{cur.base, cur.delta_head, cur.head_base,
+                           cur.delta_begin, total_ops_, cur.overlay};
+  next->overlay.Apply(op);
+  PublishLocked(next);
   MaybeScheduleMergeLocked();
 }
 
@@ -253,8 +282,14 @@ void ConcurrentTwoLayerGrid::RunMerge() {
       std::shared_ptr<const DeltaChunk> head = cur.delta_head;
       std::uint64_t head_base = cur.head_base;
       SeekChunk(&head, &head_base, end);
-      PublishLocked(new Version{std::move(fresh), std::move(head), head_base,
-                                end, cur.delta_end});
+      // Its overlay holds only the ops appended while the merge ran.
+      auto* merged = new Version{std::move(fresh), head, head_base, end,
+                                 cur.delta_end, {}};
+      for (std::uint64_t idx = end; idx < cur.delta_end; ++idx) {
+        SeekChunk(&head, &head_base, idx);
+        merged->overlay.Apply(head->ops[idx - head_base]);
+      }
+      PublishLocked(merged);
       merge_scheduled_ = false;
       merges_completed_.fetch_add(1);
       // Appends during the merge may already exceed the threshold again.
@@ -298,21 +333,10 @@ void ConcurrentTwoLayerGrid::Flush() {
 ConcurrentTwoLayerGrid::Snapshot ConcurrentTwoLayerGrid::Acquire() const {
   // Pin first, then load: the epoch argument (docs/CONCURRENCY.md) shows a
   // version loaded after the announcement cannot be freed while the pin
-  // lives — and the version's shared_ptr keeps its base grid alive.
+  // lives — and the version owns its overlay and keeps its base grid alive.
   EpochDomain::Guard guard = epoch_.Pin();
   const Version* v = published_.load();
-  Snapshot snap(std::move(guard), v->base.get(), v->delta_end);
-  // Materialize the last-op-wins overlay of the unmerged window. Ops are
-  // replayed in log order, so the map holds each touched id's final state.
-  std::shared_ptr<const DeltaChunk> chunk = v->delta_head;
-  std::uint64_t base = v->head_base;
-  for (std::uint64_t idx = v->delta_begin; idx < v->delta_end; ++idx) {
-    SeekChunk(&chunk, &base, idx);
-    const DeltaOp& op = chunk->ops[idx - base];
-    snap.overlay_[op.entry.id] = Snapshot::OverlayEntry{
-        op.kind == DeltaOp::Kind::kInsert, op.entry.box};
-  }
-  return snap;
+  return Snapshot(std::move(guard), v->base.get(), &v->overlay, v->delta_end);
 }
 
 std::uint64_t ConcurrentTwoLayerGrid::published_seq() const {
@@ -324,11 +348,25 @@ std::uint64_t ConcurrentTwoLayerGrid::published_seq() const {
 
 EntryPredicate ConcurrentTwoLayerGrid::Snapshot::BaseKeep(
     const EntryPredicate& keep) const {
-  if (overlay_.empty()) return keep;
-  return [this, keep](const BoxEntry& e) {
-    if (overlay_.count(e.id) != 0) return false;  // overridden by the delta
-    return !keep || keep(e);
+  if (overlay_->empty()) return keep;
+  return [overlay = overlay_, keep](const BoxEntry& e) {
+    return !overlay->Touched(e.id) && (!keep || keep(e));
   };
+}
+
+template <typename T, typename Match>
+void ConcurrentTwoLayerGrid::Snapshot::PatchAndSort(
+    std::vector<T>* out, Match&& match, const EntryPredicate& keep) const {
+  if (!overlay_->empty()) {
+    std::erase_if(*out, [this](const T& x) {
+      return overlay_->Touched(IdOf(x));
+    });
+    for (const BoxEntry& e : overlay_->inserted) {
+      if (match(e.box) && (!keep || keep(e))) Add(out, e);
+    }
+  }
+  std::sort(out->begin(), out->end(),
+            [](const T& a, const T& b) { return IdOf(a) < IdOf(b); });
 }
 
 void ConcurrentTwoLayerGrid::Snapshot::WindowEntries(
@@ -337,68 +375,51 @@ void ConcurrentTwoLayerGrid::Snapshot::WindowEntries(
   std::vector<Candidate> cands;
   base().WindowCandidates(w, &cands);
   out->reserve(cands.size());
-  for (const Candidate& c : cands) {
-    if (!Hidden(c.id)) out->push_back(BoxEntry{c.box, c.id});
-  }
-  ForEachOverlayEntry({}, [&](const BoxEntry& e) {
-    if (e.box.Intersects(w)) out->push_back(e);
-  });
-  std::sort(out->begin(), out->end(), ById);
+  for (const Candidate& c : cands) out->push_back(BoxEntry{c.box, c.id});
+  PatchAndSort(out, [&w](const Box& b) { return b.Intersects(w); }, {});
 }
 
 void ConcurrentTwoLayerGrid::Snapshot::WindowQuery(
     const Box& w, std::vector<ObjectId>* out,
     const EntryPredicate& keep) const {
   out->clear();
-  if (!keep && overlay_.empty()) {
+  if (!keep) {
     base().WindowQuery(w, out);
   } else {
     std::vector<Candidate> cands;
     base().WindowCandidates(w, &cands);
     out->reserve(cands.size());
     for (const Candidate& c : cands) {
-      if (!Hidden(c.id) && (!keep || keep(BoxEntry{c.box, c.id}))) {
-        out->push_back(c.id);
-      }
+      if (keep(BoxEntry{c.box, c.id})) out->push_back(c.id);
     }
-    ForEachOverlayEntry(keep, [&](const BoxEntry& e) {
-      if (e.box.Intersects(w)) out->push_back(e.id);
-    });
   }
-  std::sort(out->begin(), out->end());
+  PatchAndSort(out, [&w](const Box& b) { return b.Intersects(w); }, keep);
 }
 
 void ConcurrentTwoLayerGrid::Snapshot::DiskQuery(
     const Point& q, Coord radius, std::vector<ObjectId>* out,
     const EntryPredicate& keep) const {
   out->clear();
-  if (!keep && overlay_.empty()) {
+  if (!keep) {
     base().DiskQuery(q, radius, out);
   } else {
     std::vector<BoxEntry> entries;
     base().DiskQueryEntries(q, radius, &entries);
     out->reserve(entries.size());
     for (const BoxEntry& e : entries) {
-      if (!Hidden(e.id) && (!keep || keep(e))) out->push_back(e.id);
+      if (keep(e)) out->push_back(e.id);
     }
-    ForEachOverlayEntry(keep, [&](const BoxEntry& e) {
-      if (e.box.MinDistanceTo(q) <= radius) out->push_back(e.id);
-    });
   }
-  std::sort(out->begin(), out->end());
+  PatchAndSort(
+      out, [&](const Box& b) { return b.MinDistanceTo(q) <= radius; }, keep);
 }
 
 void ConcurrentTwoLayerGrid::Snapshot::DiskQueryEntries(
     const Point& q, Coord radius, std::vector<BoxEntry>* out) const {
   out->clear();
   base().DiskQueryEntries(q, radius, out);
-  if (!overlay_.empty()) {
-    std::erase_if(*out, [this](const BoxEntry& e) { return Hidden(e.id); });
-    ForEachOverlayEntry({}, [&](const BoxEntry& e) {
-      if (e.box.MinDistanceTo(q) <= radius) out->push_back(e);
-    });
-  }
-  std::sort(out->begin(), out->end(), ById);
+  PatchAndSort(
+      out, [&](const Box& b) { return b.MinDistanceTo(q) <= radius; }, {});
 }
 
 std::vector<RankedEntry> ConcurrentTwoLayerGrid::Snapshot::KnnEntries(
@@ -409,10 +430,10 @@ std::vector<RankedEntry> ConcurrentTwoLayerGrid::Snapshot::KnnEntries(
   // over-fetching.
   std::vector<RankedEntry> pool =
       tlp::KnnEntries(base(), q, k, BaseKeep(keep));
-  if (overlay_.empty()) return pool;
-  ForEachOverlayEntry(keep, [&](const BoxEntry& e) {
-    pool.push_back(RankedEntry{e, e.box.MinDistanceTo(q)});
-  });
+  if (overlay_->empty()) return pool;
+  for (const BoxEntry& e : overlay_->inserted) {
+    if (!keep || keep(e)) pool.push_back({e, e.box.MinDistanceTo(q)});
+  }
   std::sort(pool.begin(), pool.end(), ByRank);
   if (pool.size() > k) pool.resize(k);
   return pool;
@@ -426,11 +447,11 @@ std::vector<SkylineEntry> ConcurrentTwoLayerGrid::Snapshot::SkylineQuery(
   // starting state for the same incremental step the base query runs.
   std::vector<SkylineEntry> sky =
       tlp::SkylineQuery(base(), q, region, BaseKeep(keep));
-  if (overlay_.empty()) return sky;
-  ForEachOverlayEntry(keep, [&](const BoxEntry& e) {
-    if (region != nullptr && !e.box.Intersects(*region)) return;
-    SkylineAdmit(e, q, &sky);
-  });
+  if (overlay_->empty()) return sky;
+  for (const BoxEntry& e : overlay_->inserted) {
+    if (region != nullptr && !e.box.Intersects(*region)) continue;
+    if (!keep || keep(e)) SkylineAdmit(e, q, &sky);
+  }
   std::sort(sky.begin(), sky.end(),
             [](const SkylineEntry& a, const SkylineEntry& b) {
               return a.entry.id < b.entry.id;

@@ -1,12 +1,12 @@
 #ifndef TLP_CONCURRENCY_VERSIONED_GRID_H_
 #define TLP_CONCURRENCY_VERSIONED_GRID_H_
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -44,6 +44,22 @@ struct DeltaChunk {
   std::shared_ptr<DeltaChunk> next;
 };
 
+/// The last-op-wins state of an unmerged delta window: every id the window
+/// touched (their base entries are hidden), and the entries whose last op
+/// is an insert, both sorted by id. Only the writer applies ops, before it
+/// publishes the Version holding the overlay; readers only search it.
+struct DeltaOverlay {
+  std::vector<ObjectId> touched;
+  std::vector<BoxEntry> inserted;
+
+  [[nodiscard]] bool empty() const { return touched.empty(); }
+  [[nodiscard]] bool Touched(ObjectId id) const {
+    return std::binary_search(touched.begin(), touched.end(), id);
+  }
+  /// Folds one more op into the window's state.
+  void Apply(const DeltaOp& op);
+};
+
 /// An immutable published state of the concurrent index: a frozen-by-
 /// protocol base grid plus the window of delta-log ops not yet merged into
 /// it. A Version object is never modified after publication; retiring it
@@ -60,18 +76,20 @@ struct Version {
   /// version's logical sequence number.
   std::uint64_t delta_begin = 0;
   std::uint64_t delta_end = 0;
+  /// Ops [delta_begin, delta_end) folded last-op-wins.
+  DeltaOverlay overlay;
 };
 
 /// Concurrent wrapper around TwoLayerGrid where version-swap is the *only*
 /// mutation path (ROADMAP item 1, docs/CONCURRENCY.md):
 ///
 ///   - Readers call Acquire() and query the returned Snapshot. A Snapshot
-///     pins an epoch and holds the then-current Version; every query is
+///     pins an epoch and points at the then-current Version; every query is
 ///     evaluated over (immutable base grid + unmerged delta overlay) and
 ///     is exact and duplicate-free (the base probes keep their Lemma 1-4
-///     guarantees, the overlay is a last-op-wins map keyed by id).
+///     guarantees, the overlay hides every id the window touched).
 ///   - Insert/Delete serialize on a small writer mutex, append to the
-///     chunked delta log, and publish a fresh Version per op.
+///     chunked delta log, and publish a fresh Version (and overlay) per op.
 ///   - A background merge task (1-thread exception-safe ThreadPool) clones
 ///     the base, folds the delta window into it with the ordinary
 ///     sequential Insert/Delete paths, and publishes the merged Version.
@@ -110,11 +128,11 @@ class ConcurrentTwoLayerGrid {
   /// Inserts `entry`. Returns false (and changes nothing) when an object
   /// with this id is already live — the sequential index's "ids are
   /// unique" contract, enforced here so delta overlay semantics stay
-  /// well-defined.
+  /// well-defined — or when the box has a NaN coordinate.
   [[nodiscard]] bool Insert(const BoxEntry& entry);
 
   /// Deletes object `id` (with the box it was inserted with, as in
-  /// TwoLayerGrid::Delete). Returns false when no such object is live.
+  /// TwoLayerGrid::Delete). Returns false unless it is live with that box.
   [[nodiscard]] bool Delete(ObjectId id, const Box& box);
 
   /// Attaches the write-ahead log every subsequent update appends to
@@ -131,11 +149,12 @@ class ConcurrentTwoLayerGrid {
   /// acknowledged: the WAL rejected or failed to persist it (when the
   /// fsync itself failed the op may still be visible in memory; recovery
   /// replays a consistent prefix regardless). Without an attached WAL
-  /// this is exactly Insert(). *applied false with OK = duplicate id.
+  /// this is exactly Insert(). *applied false with OK = duplicate id. A
+  /// box with a NaN coordinate is InvalidArgument, before the WAL sees it.
   [[nodiscard]] Status InsertDurable(const BoxEntry& entry, bool* applied);
 
   /// Delete counterpart of InsertDurable. *applied false with OK = no
-  /// such live object.
+  /// such live object, or one live with another box.
   [[nodiscard]] Status DeleteDurable(ObjectId id, const Box& box,
                                      bool* applied);
 
@@ -161,13 +180,13 @@ class ConcurrentTwoLayerGrid {
   /// base grid (the published delta window is empty).
   void Flush() TLP_EXCLUDES(writer_mu_);
 
-  /// An immutable view: base grid + materialized last-op-wins overlay of
-  /// a delta window, plus the epoch pin that keeps both alive. Queries
-  /// mirror the sequential index's result contracts exactly (order
-  /// included). This is the one read surface: Acquire() returns a pinned
-  /// view of the published version, Of() an unpinned view of a plain
-  /// grid. Movable; keep it only as long as the query runs — a long-lived
-  /// pinned Snapshot stalls memory reclamation.
+  /// An immutable view: base grid + the last-op-wins overlay of a delta
+  /// window, plus the epoch pin that keeps both alive. Queries mirror the
+  /// sequential index's result contracts exactly (order included). This is
+  /// the one read surface: Acquire() returns a pinned view of the
+  /// published version, Of() an unpinned view of a plain grid. Movable;
+  /// keep it only as long as the query runs — a long-lived pinned Snapshot
+  /// stalls memory reclamation.
   class Snapshot {
    public:
     Snapshot(Snapshot&&) = default;
@@ -175,12 +194,12 @@ class ConcurrentTwoLayerGrid {
     Snapshot(const Snapshot&) = delete;
     Snapshot& operator=(const Snapshot&) = delete;
 
-    /// A non-owning view of `grid` as a version with an empty overlay:
-    /// unpinned, seq() == 0, nothing copied — how a read-only index joins
-    /// the snapshot read path. No epoch protects `grid`: the caller keeps
-    /// it alive and unmodified for as long as the Snapshot exists.
+    /// A non-owning view of `grid` with an empty overlay: unpinned,
+    /// seq() == 0, nothing copied — how a read-only index joins the
+    /// snapshot read path. No epoch protects `grid`: the caller keeps it
+    /// alive and unmodified for as long as the Snapshot exists.
     [[nodiscard]] static Snapshot Of(const TwoLayerGrid& grid) {
-      return Snapshot(EpochDomain::Guard(), &grid, 0);
+      return Snapshot(EpochDomain::Guard(), &grid, &kNoOverlay, 0);
     }
 
     /// Logical sequence number: total update ops visible to this view.
@@ -188,7 +207,9 @@ class ConcurrentTwoLayerGrid {
     /// The base grid (excludes the delta overlay).
     [[nodiscard]] const TwoLayerGrid& base() const { return *base_; }
     /// Distinct object ids touched by the unmerged delta window.
-    [[nodiscard]] std::size_t overlay_size() const { return overlay_.size(); }
+    [[nodiscard]] std::size_t overlay_size() const {
+      return overlay_->touched.size();
+    }
 
     /// Ids of live objects intersecting `w` and matching `keep`, sorted
     /// ascending.
@@ -220,44 +241,34 @@ class ConcurrentTwoLayerGrid {
 
    private:
     friend class ConcurrentTwoLayerGrid;
-    /// Overlay value: the object's state after the delta window. `present`
-    /// false means the window deleted it (the base entry, if any, is
-    /// hidden); true means the window (re)inserted it with `box`.
-    struct OverlayEntry {
-      bool present = false;
-      Box box;
-    };
 
     Snapshot(EpochDomain::Guard guard, const TwoLayerGrid* grid,
-             std::uint64_t sequence)
-        : guard_(std::move(guard)), base_(grid), seq_(sequence) {}
+             const DeltaOverlay* overlay, std::uint64_t sequence)
+        : guard_(std::move(guard)), base_(grid), overlay_(overlay),
+          seq_(sequence) {}
 
-    /// True iff the overlay overrides object `id` (hides its base entry).
-    bool Hidden(ObjectId id) const {
-      return !overlay_.empty() && overlay_.count(id) != 0;
-    }
-    /// `keep` composed with the overlay hide-filter, for base-grid probes.
+    /// `keep` composed with hiding the overlay's touched ids, for the
+    /// base-grid probes that rank or prune (kNN, skyline).
     EntryPredicate BaseKeep(const EntryPredicate& keep) const;
-    /// Calls `emit(entry)` for every entry the overlay (re)inserted that
-    /// matches `keep`.
-    template <typename Emit>
-    void ForEachOverlayEntry(const EntryPredicate& keep, Emit&& emit) const {
-      for (const auto& [id, oe] : overlay_) {
-        if (!oe.present) continue;
-        const BoxEntry e{oe.box, id};
-        if (!keep || keep(e)) emit(e);
-      }
-    }
+    /// Turns a base probe's `out` (ids or entries) into the live result:
+    /// drops touched ids, appends the inserted entries passing `match(box)`
+    /// and `keep`, and sorts by id.
+    template <typename T, typename Match>
+    void PatchAndSort(std::vector<T>* out, Match&& match,
+                      const EntryPredicate& keep) const;
+
+    /// The overlay every Of view points at.
+    inline static const DeltaOverlay kNoOverlay;
 
     EpochDomain::Guard guard_;
     /// Kept alive by the pinned version (Acquire) or by the caller (Of).
     const TwoLayerGrid* base_;
+    const DeltaOverlay* overlay_;
     std::uint64_t seq_;
-    std::unordered_map<ObjectId, OverlayEntry> overlay_;
   };
 
-  /// Pins the current published version. Cheap-ish: O(delta window) to
-  /// materialize the overlay map, which the merge threshold bounds.
+  /// Pins the current published version and points at its base grid and
+  /// overlay: O(1), nothing is copied.
   [[nodiscard]] Snapshot Acquire() const;
 
   /// Sequence number of the currently published version (test/monitoring
@@ -305,8 +316,8 @@ class ConcurrentTwoLayerGrid {
   const Options options_;
 
   mutable Mutex writer_mu_;
-  /// Ids currently live (base + appended delta); gives Insert/Delete their
-  /// found/duplicate return values without consulting the index.
+  /// Ids currently live (base + appended delta): Insert's duplicate test.
+  /// Delete asks the published version, because the box must match too.
   std::unordered_set<ObjectId> live_ids_ TLP_GUARDED_BY(writer_mu_);
   /// live_ids_.size(), mirrored for lock-free live_count().
   std::atomic<std::size_t> live_count_{0};

@@ -79,10 +79,9 @@ inline void SkylineAdmit(const BoxEntry& e, const Point& q,
 /// clamped in from outside the domain. q's tile and its 8 neighbours are
 /// scanned first to seed the skyline, then one row-major pass skips every
 /// tile whose bound a found skyline point dominates without touching its
-/// entries. The visit order only changes how much is pruned. A tile
-/// holding an entry with a NaN coordinate has an unbounded extent and is
-/// always scanned: a NaN attribute is never dominated, so such an entry
-/// is always in the skyline. q must be finite.
+/// entries. The visit order only changes how much is pruned. The grid
+/// holds no NaN coordinates (Build/Insert reject them), so every extent
+/// bounds its entries. q must be finite.
 ///
 /// `region`, when non-null, restricts the input to objects whose MBR
 /// intersects it (closed intervals, like WindowQuery). `keep`, when

@@ -1,5 +1,6 @@
 #include "core/two_layer_grid.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -11,14 +12,11 @@ namespace tlp {
 
 namespace {
 
-bool HasNaN(const Box& b) {
-  return std::isnan(b.xl) || std::isnan(b.yl) || std::isnan(b.xu) ||
-         std::isnan(b.yu);
-}
-
-Box Unbounded() {
-  constexpr Coord inf = std::numeric_limits<Coord>::infinity();
-  return Box{-inf, -inf, inf, inf};
+/// A NaN box would be stored where no query finds it: reject it up front.
+void RejectNaN(const Box& b) {
+  if (b.HasNaN()) {
+    throw std::invalid_argument("2-layer grid: box has a NaN coordinate");
+  }
 }
 
 }  // namespace
@@ -46,26 +44,14 @@ void TwoLayerGrid::RebuildOccupancy() {
     object_count_ += tile.begin[a + 1] - tile.begin[a];
     for (std::uint32_t k = tile.begin[a]; k < tile.begin[a + 1]; ++k) {
       const Box& b = tile.entries[k].box;
-      GrowClassAExtent(t, b);
+      class_a_extent_[t].ExpandToInclude(b);
       if (!InDomain(b)) has_out_of_domain_ = true;
     }
   }
 }
 
-void TwoLayerGrid::GrowClassAExtent(std::size_t tile_id, const Box& b) {
-  Box& ext = class_a_extent_[tile_id];
-  // ExpandToInclude would silently skip a NaN coordinate (std::min/max
-  // keep the non-NaN side), leaving a bound the entry does not obey.
-  if (HasNaN(b)) {
-    ext = Unbounded();
-  } else {
-    ext.ExpandToInclude(b);
-  }
-}
-
 bool TwoLayerGrid::InDomain(const Box& b) const {
   const Box& d = layout_.domain();
-  // Written so NaN coordinates fail every comparison and count as outside.
   return b.xl >= d.xl && b.xu <= d.xu && b.yl >= d.yl && b.yu <= d.yu;
 }
 
@@ -80,6 +66,7 @@ void TwoLayerGrid::RequireMutable(const char* op) const {
 void TwoLayerGrid::Build(const std::vector<BoxEntry>& entries,
                          std::size_t num_threads) {
   RequireMutable("Build");
+  for (const BoxEntry& e : entries) RejectNaN(e.box);
   const std::size_t threads =
       build_internal::EffectiveBuildThreads(num_threads, entries.size());
   if (threads <= 1) {
@@ -93,6 +80,7 @@ void TwoLayerGrid::Build(const std::vector<BoxEntry>& entries,
 void TwoLayerGrid::Build(const std::vector<BoxEntry>& entries,
                          ThreadPool& pool) {
   RequireMutable("Build");
+  for (const BoxEntry& e : entries) RejectNaN(e.box);
   if (pool.num_threads() <= 1) {
     BuildSequential(entries);
     return;
@@ -235,6 +223,7 @@ void TwoLayerGrid::BuildOnPool(const std::vector<BoxEntry>& entries,
 
 void TwoLayerGrid::Insert(const BoxEntry& entry) {
   RequireMutable("Insert");
+  RejectNaN(entry.box);
   if (!InDomain(entry.box)) has_out_of_domain_ = true;
   const TileRange range = layout_.TilesFor(entry.box);
   for (std::uint32_t j = range.j0; j <= range.j1; ++j) {
@@ -257,11 +246,19 @@ void TwoLayerGrid::Insert(const BoxEntry& entry) {
       v[tile.begin[seg + 1]] = entry;
       for (std::size_t k = seg + 1; k <= kNumClasses; ++k) ++tile.begin[k];
       if (seg == SegmentOf(ObjectClass::kA)) {
-        GrowClassAExtent(tile_id, entry.box);
+        class_a_extent_[tile_id].ExpandToInclude(entry.box);
         ++object_count_;
       }
     }
   }
+}
+
+bool TwoLayerGrid::Contains(const BoxEntry& entry) const {
+  const TileRange range = layout_.TilesFor(entry.box);
+  const auto [p, n] = ClassSpan(range.i0, range.j0, ObjectClass::kA);
+  return std::any_of(p, p + n, [&](const BoxEntry& e) {
+    return e.id == entry.id && e.box == entry.box;
+  });
 }
 
 bool TwoLayerGrid::Delete(ObjectId id, const Box& box) {
@@ -638,12 +635,10 @@ bool TwoLayerGrid::CheckInvariants() const {
         }
       }
       // The class-A extent must bound every class-A box, or the skyline's
-      // tile pruning would skip entries it has to consider. No extent
-      // Contains a NaN box, so only an unbounded one admits it.
+      // tile pruning would skip entries it has to consider.
       const std::size_t a = SegmentOf(ObjectClass::kA);
       class_a_total += tile.begin[a + 1] - tile.begin[a];
       const Box& ext = class_a_extent_[layout_.TileId(i, j)];
-      if (ext == Unbounded()) continue;
       for (std::uint32_t k = tile.begin[a]; k < tile.begin[a + 1]; ++k) {
         if (!ext.Contains(tile.entries[k].box)) return false;
       }

@@ -48,14 +48,19 @@ class TwoLayerGrid final : public PersistentIndex {
   /// inputs fall back to one), 1 = the sequential path; tile ownership in
   /// the parallel place pass makes the built grid bit-identical for every
   /// thread count. Throws std::logic_error on a frozen (mapped-snapshot)
-  /// grid.
+  /// grid, std::invalid_argument on a NaN coordinate (changing nothing).
   void Build(const std::vector<BoxEntry>& entries,
              std::size_t num_threads = 0);
   /// As above, on the caller's pool (TwoLayerPlusGrid shares one pool
   /// across both layers of its build this way).
   void Build(const std::vector<BoxEntry>& entries, ThreadPool& pool);
 
+  /// Throws std::invalid_argument on a NaN coordinate, changing nothing.
   void Insert(const BoxEntry& entry) override;
+
+  /// True iff object `entry.id` is stored with exactly `entry.box`
+  /// (searches the class A of the box's lower-corner tile).
+  [[nodiscard]] bool Contains(const BoxEntry& entry) const;
 
   /// Removes the object `id` with bounding box `box` (the box must be the
   /// one it was inserted with; it locates the replicas). Returns false if
@@ -149,9 +154,8 @@ class TwoLayerGrid final : public PersistentIndex {
                                                     std::uint32_t j,
                                                     ObjectClass c) const;
 
-  /// Bounding box of tile (i, j)'s class-A entries, or a superset of it
-  /// (empty, unbounded and post-Delete cases: class_a_extent_). The
-  /// skyline query prunes tiles with it.
+  /// Bounding box of tile (i, j)'s class-A entries, or a superset after
+  /// Deletes (class_a_extent_); the skyline query prunes tiles with it.
   const Box& ClassAExtent(std::uint32_t i, std::uint32_t j) const {
     return class_a_extent_[layout_.TileId(i, j)];
   }
@@ -160,9 +164,9 @@ class TwoLayerGrid final : public PersistentIndex {
   /// begin[] monotone, begin[kNumClasses] == entries.size(), and every entry
   /// stored in the segment of its class — plus the occupancy bitset agreeing
   /// with every tile's emptiness, the class-A extent containing every
-  /// class-A box of its tile (or being unbounded) and object_count()
-  /// equalling the class-A total. O(total entries); for tests — the
-  /// Insert/Delete logic must preserve all seven properties.
+  /// class-A box of its tile and object_count() equalling the class-A
+  /// total. O(total entries); for tests — the Insert/Delete logic must
+  /// preserve all seven properties.
   bool CheckInvariants() const;
 
   /// Per-tile occupancy bits (set iff the tile holds entries); queries use
@@ -202,13 +206,9 @@ class TwoLayerGrid final : public PersistentIndex {
   /// unchanged).
   void RebuildOccupancy();
 
-  /// Grows tile `tile_id`'s class-A extent to cover `b` (class_a_extent_).
-  void GrowClassAExtent(std::size_t tile_id, const Box& b);
-
-  /// True iff `b` lies entirely inside the declared domain (NaN coordinates
-  /// count as outside). Entries failing this are CLAMPED into border tiles
-  /// they do not geometrically overlap, which invalidates tile-box distance
-  /// reasoning there — see has_out_of_domain_.
+  /// True iff `b` lies entirely inside the declared domain. Entries failing
+  /// this are CLAMPED into border tiles they do not geometrically overlap,
+  /// which invalidates tile-box distance reasoning there (has_out_of_domain_).
   bool InDomain(const Box& b) const;
 
   /// Runs the §IV-B masked scans over the relevant classes of one tile.
@@ -238,12 +238,10 @@ class TwoLayerGrid final : public PersistentIndex {
   /// Per-tile bounding box of the tile's class-A entries, parallel to
   /// tiles_ and kept flat so a skyline sweep streams 32 bytes per tile
   /// without touching the tiles themselves. Box::Empty() for a tile with
-  /// no class-A entry; unbounded once a class-A box with a NaN coordinate
-  /// lands in the tile (its skyline attribute is NaN, never dominated, so
-  /// no finite bound may prune it). Insert grows it; Delete leaves it
-  /// alone, because a superset is still a valid bound — sticky like
-  /// has_out_of_domain_. Recomputed exactly by RebuildOccupancy on
-  /// bulk/snapshot loads; not persisted.
+  /// no class-A entry. Insert grows it; Delete leaves it alone, because a
+  /// superset is still a valid bound — sticky like has_out_of_domain_.
+  /// Recomputed exactly by RebuildOccupancy on bulk/snapshot loads; not
+  /// persisted.
   std::vector<Box> class_a_extent_;
   /// Number of class-A entries over all tiles, i.e. stored objects.
   std::size_t object_count_ = 0;

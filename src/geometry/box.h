@@ -25,6 +25,10 @@ struct Box {
   }
 
   bool IsEmpty() const { return xl > xu || yl > yu; }
+  bool HasNaN() const {
+    return std::isnan(xl) || std::isnan(yl) || std::isnan(xu) ||
+           std::isnan(yu);
+  }
 
   Coord width() const { return xu - xl; }
   Coord height() const { return yu - yl; }

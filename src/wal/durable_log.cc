@@ -126,6 +126,10 @@ std::uint64_t LowWaterOf(const DirListing& listing, bool* has_full,
 Status ApplyOp(const WalRecord& rec, TwoLayerGrid* grid,
                std::unordered_set<ObjectId>* live) {
   if (rec.kind == RecordKind::kInsert) {
+    if (rec.entry.box.HasNaN()) {
+      return Status::Corruption("wal replay: insert of a NaN box, id " +
+                                std::to_string(rec.entry.id));
+    }
     if (!live->insert(rec.entry.id).second) {
       return Status::Corruption("wal replay: insert of live id " +
                                 std::to_string(rec.entry.id));

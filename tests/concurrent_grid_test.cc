@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -127,17 +128,22 @@ const Box kUnit{0, 0, 1, 1};
 GridLayout Layout() { return GridLayout(kUnit, 9, 7); }
 
 /// Compares every query kind between a pinned snapshot of `live` and the
-/// sequential `oracle` that applied the identical op sequence.
+/// sequential `oracle` that applied the identical op sequence, on random
+/// windows and points plus each of `at` (as a window, and its centre as a
+/// query point).
 void ExpectSnapshotMatchesOracle(const ConcurrentTwoLayerGrid& live,
                                  const TwoLayerGrid& oracle,
                                  std::uint64_t query_seed,
-                                 const std::string& context) {
+                                 const std::string& context,
+                                 const std::vector<Box>& at = {}) {
   const ConcurrentTwoLayerGrid::Snapshot snap = live.Acquire();
   Rng rng(query_seed);
   // A WHERE-style filter: restricts every probe's input set to odd ids.
   const EntryPredicate keep = [](const BoxEntry& e) { return e.id % 2 == 1; };
 
-  for (const Box& w : testing::RandomWindows(8, query_seed)) {
+  std::vector<Box> windows = testing::RandomWindows(8, query_seed);
+  windows.insert(windows.end(), at.begin(), at.end());
+  for (const Box& w : windows) {
     std::vector<ObjectId> expected;
     oracle.WindowQuery(w, &expected);
     std::sort(expected.begin(), expected.end());
@@ -160,8 +166,9 @@ void ExpectSnapshotMatchesOracle(const ConcurrentTwoLayerGrid& live,
     EXPECT_EQ(actual, expected_kept) << context << " window keep";
   }
 
-  for (int t = 0; t < 6; ++t) {
-    const Point q{rng.NextDouble(), rng.NextDouble()};
+  for (std::size_t t = 0; t < 6 + at.size(); ++t) {
+    const Point q = t < 6 ? Point{rng.NextDouble(), rng.NextDouble()}
+                          : at[t - 6].center();
     const Coord radius = rng.NextDouble() * 0.15;
 
     std::vector<BoxEntry> expected_entries;
@@ -285,6 +292,87 @@ TEST(ConcurrentGridTest, OverlayExactnessAcrossInterleavedUpdates) {
   const BoxEntry dup{live_boxes.begin()->second, live_boxes.begin()->first};
   EXPECT_FALSE(live.Insert(dup));
   EXPECT_FALSE(live.Delete(static_cast<ObjectId>(999999), kUnit));
+}
+
+TEST(ConcurrentGridTest, OverlayHidesEveryTouchedIdAndKeepsLastInserts) {
+  // One unmerged window that reinserts ids: base id X deleted and
+  // reinserted in another tile, base id Y deleted, fresh id Z inserted,
+  // deleted and reinserted elsewhere. X's base entry must stay hidden
+  // although X is live again, and only each id's last insert may show.
+  const auto base_data = testing::RandomEntries(600, 0.05, 75);
+  TwoLayerGrid oracle(Layout());
+  oracle.Build(base_data);
+  TwoLayerGrid base(Layout());
+  base.Build(base_data);
+  ConcurrentTwoLayerGrid live(std::move(base));  // merges at 1,024 ops
+
+  const BoxEntry x = base_data[101];
+  const BoxEntry y = base_data[203];
+  const Box far = x.box.xl < 0.5 ? Box{0.8, 0.8, 0.83, 0.82}
+                                 : Box{0.1, 0.1, 0.13, 0.12};
+  const Box z1{0.45, 0.05, 0.47, 0.08};
+  const Box z2{0.05, 0.55, 0.06, 0.58};
+  const ObjectId z = 20001;
+  ASSERT_TRUE(live.Delete(x.id, x.box));
+  ASSERT_TRUE(live.Insert(BoxEntry{far, x.id}));
+  ASSERT_TRUE(live.Delete(y.id, y.box));
+  ASSERT_TRUE(live.Insert(BoxEntry{z1, z}));
+  ASSERT_TRUE(live.Delete(z, z1));
+  ASSERT_TRUE(live.Insert(BoxEntry{z2, z}));
+  ASSERT_TRUE(oracle.Delete(x.id, x.box));
+  oracle.Insert(BoxEntry{far, x.id});
+  ASSERT_TRUE(oracle.Delete(y.id, y.box));
+  oracle.Insert(BoxEntry{z2, z});
+
+  const std::vector<Box> at = {x.box, far, y.box, z1, z2};
+  {
+    const auto snap = live.Acquire();
+    ASSERT_EQ(snap.seq(), 6u) << "the window must still be unmerged";
+    EXPECT_EQ(snap.overlay_size(), 3u);
+  }
+  ExpectSnapshotMatchesOracle(live, oracle, 76, "unmerged", at);
+  EXPECT_EQ(live.live_count(), base_data.size());
+  live.Flush();
+  ExpectSnapshotMatchesOracle(live, oracle, 77, "merged", at);
+}
+
+TEST(ConcurrentGridTest, DeleteWithAnotherBoxIsRejected) {
+  // Delete names the box the object was inserted with. Another box used
+  // to be acknowledged and drop the live count, while the merge's base
+  // Delete then missed, leaving the object visible and its id reusable.
+  const auto base_data = testing::RandomEntries(300, 0.05, 78);
+  TwoLayerGrid base(Layout());
+  base.Build(base_data);
+  ConcurrentTwoLayerGrid live(std::move(base));
+  const Box a{0.2, 0.2, 0.25, 0.25};
+  const Box b{0.6, 0.6, 0.65, 0.65};
+  ASSERT_TRUE(live.Insert(BoxEntry{a, 42000}));
+  EXPECT_FALSE(live.Delete(42000, b));                    // delta object
+  EXPECT_FALSE(live.Delete(base_data[7].id, b));          // base object
+  EXPECT_FALSE(live.Delete(base_data[7].id, base_data[8].box));
+  EXPECT_EQ(live.live_count(), base_data.size() + 1);
+  live.Flush();
+
+  std::vector<ObjectId> ids;
+  live.Acquire().WindowQuery(kUnit, &ids);
+  EXPECT_EQ(std::count(ids.begin(), ids.end(), 42000), 1);
+  EXPECT_EQ(std::count(ids.begin(), ids.end(), base_data[7].id), 1);
+  EXPECT_EQ(ids.size(), base_data.size() + 1);
+  EXPECT_FALSE(live.Insert(BoxEntry{b, 42000})) << "the id is still live";
+  EXPECT_FALSE(live.Delete(42000, b));  // merged into the base now
+  EXPECT_TRUE(live.Delete(42000, a));
+  EXPECT_TRUE(live.Delete(base_data[7].id, base_data[7].box));
+  EXPECT_EQ(live.live_count(), base_data.size() - 1);
+}
+
+TEST(ConcurrentGridTest, InsertOfANaNBoxIsRejected) {
+  TwoLayerGrid base(Layout());
+  base.Build(testing::RandomEntries(50, 0.05, 79));
+  ConcurrentTwoLayerGrid live(std::move(base));
+  const Coord nan = std::numeric_limits<Coord>::quiet_NaN();
+  EXPECT_FALSE(live.Insert(BoxEntry{Box{0.5, 0.2, nan, 0.3}, 9000}));
+  EXPECT_EQ(live.live_count(), 50u);
+  EXPECT_EQ(live.published_seq(), 0u);
 }
 
 TEST(ConcurrentGridTest, SnapshotOutlivesSupersedingMerge) {

@@ -627,6 +627,47 @@ void ExpectLiveRepliesMatchReadOnly(ConcurrentTwoLayerGrid& live,
   }
 }
 
+
+TEST(LiveServerTest, DeleteWithAnotherBoxRepliesZero) {
+  TwoLayerGrid base(GridLayout(Box{0, 0, 1, 1}, 8, 8));
+  const auto data = testing::RandomEntries(200, 0.03, 993);
+  base.Build(data);
+  ConcurrentTwoLayerGrid live(std::move(base));
+  QueryServer server(live, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  QueryClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  Reply reply;
+  ASSERT_TRUE(client.Execute("INSERT 7000 2.0 2.0 2.1 2.1", &reply).ok());
+  ASSERT_EQ(reply.kind, Reply::Kind::kOk);
+  EXPECT_EQ(reply.rows, std::vector<std::string>{"1"});
+
+  // A delete names the box the object was inserted with; another box is a
+  // miss, like a missing id, for a delta object and for a base object.
+  ASSERT_TRUE(client.Execute("DELETE 7000 2.0 2.0 2.2 2.1", &reply).ok());
+  ASSERT_EQ(reply.kind, Reply::Kind::kOk);
+  EXPECT_EQ(reply.rows, std::vector<std::string>{"0"}) << "delta object";
+  ASSERT_TRUE(client.Execute("DELETE 5 2.0 2.0 2.1 2.1", &reply).ok());
+  ASSERT_EQ(reply.kind, Reply::Kind::kOk);
+  EXPECT_EQ(reply.rows, std::vector<std::string>{"0"}) << "base object";
+
+  live.Flush();
+  ASSERT_TRUE(
+      client.Execute("SELECT WINDOW 1.5 1.5 3.0 3.0", &reply).ok());
+  ASSERT_EQ(reply.kind, Reply::Kind::kOk);
+  EXPECT_EQ(reply.rows, std::vector<std::string>{"7000"});
+  EXPECT_EQ(live.live_count(), data.size() + 1);
+
+  ASSERT_TRUE(client.Execute("DELETE 7000 2.0 2.0 2.1 2.1", &reply).ok());
+  ASSERT_EQ(reply.kind, Reply::Kind::kOk);
+  EXPECT_EQ(reply.rows, std::vector<std::string>{"1"});
+  ASSERT_TRUE(client.Execute("DELETE 5 " + BoxText(data[5].box), &reply).ok());
+  ASSERT_EQ(reply.kind, Reply::Kind::kOk);
+  EXPECT_EQ(reply.rows, std::vector<std::string>{"1"});
+
+  server.Shutdown();
+}
 TEST(LiveServerTest, LiveRepliesMatchReadOnlyRepliesOnTheSameSet) {
   const auto data = testing::RandomEntries(1200, 0.03, 991);
   const GridLayout layout(Box{0, 0, 1, 1}, 16, 16);

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -246,57 +247,35 @@ TEST(SkylineTest, TilePruningSkipsTilesAroundACentredQuery) {
       << "the extent bound pruned too little around a centred query";
 }
 
-// NaN attributes compare false both ways, so SkylineEntry::operator== and
-// EXPECT_EQ cannot match them; equal here means equal or both NaN.
-bool SameCoord(Coord a, Coord b) {
-  return a == b || (std::isnan(a) && std::isnan(b));
-}
-
-void ExpectSameSkyline(const std::vector<SkylineEntry>& got,
-                       const std::vector<SkylineEntry>& want,
-                       const Point& q) {
-  ASSERT_EQ(got.size(), want.size()) << "q=(" << q.x << "," << q.y << ")";
-  for (std::size_t k = 0; k < got.size(); ++k) {
-    const SkylineEntry& a = got[k];
-    const SkylineEntry& b = want[k];
-    EXPECT_EQ(a.entry.id, b.entry.id) << "q=(" << q.x << "," << q.y << ")";
-    EXPECT_TRUE(SameCoord(a.entry.box.xl, b.entry.box.xl) &&
-                SameCoord(a.entry.box.yl, b.entry.box.yl) &&
-                SameCoord(a.entry.box.xu, b.entry.box.xu) &&
-                SameCoord(a.entry.box.yu, b.entry.box.yu) &&
-                SameCoord(a.dx, b.dx) && SameCoord(a.dy, b.dy))
-        << "id " << a.entry.id << " q=(" << q.x << "," << q.y << ")";
-  }
-}
-
-TEST(SkylineTest, EntriesWithNaNCoordinatesAreAlwaysReported) {
-  // The library accepts NaN coordinates (only the wire parser rejects
-  // them). A NaN attribute is never dominated, so such an entry belongs
-  // to every skyline; no tile bound may prune the tile holding it.
+TEST(SkylineTest, EntriesWithNaNCoordinatesAreRejected) {
+  // A NaN coordinate has no tile, and a NaN attribute no place in the
+  // dominance order, so Build and Insert reject such boxes before changing
+  // anything: the grid keeps answering over the data it held.
   constexpr Coord nan = std::numeric_limits<Coord>::quiet_NaN();
-  auto data = testing::RandomEntries(2000, 0.05, 425);
-  ObjectId next = 2000;
-  data.push_back(BoxEntry{Box{0.2, nan, 0.3, nan}, next++});    // NaN y
-  data.push_back(BoxEntry{Box{0.71, nan, 0.74, nan}, next++});  // NaN y
-  data.push_back(BoxEntry{Box{nan, 0.6, nan, 0.62}, next++});   // NaN x
-  data.push_back(BoxEntry{Box{nan, 0.05, nan, 0.1}, next++});   // NaN x
+  const auto data = testing::RandomEntries(2000, 0.05, 425);
   TwoLayerGrid grid(GridLayout(kUnit, 16, 16));
   grid.Build(data);
+  const BoxEntry odd[] = {
+      BoxEntry{Box{0.2, nan, 0.3, nan}, 2000},    // NaN y
+      BoxEntry{Box{0.71, nan, 0.74, nan}, 2001},  // NaN y
+      BoxEntry{Box{nan, 0.6, nan, 0.62}, 2002},   // NaN x
+      BoxEntry{Box{nan, 0.05, nan, 0.1}, 2003},   // NaN x
+  };
+  for (const BoxEntry& e : odd) {
+    EXPECT_THROW(grid.Insert(e), std::invalid_argument) << "id " << e.id;
+    auto with_odd = data;
+    with_odd.push_back(e);
+    EXPECT_THROW(grid.Build(with_odd), std::invalid_argument)
+        << "id " << e.id;
+  }
   ASSERT_TRUE(grid.CheckInvariants());
+  EXPECT_EQ(grid.object_count(), data.size());
   const Point queries[] = {Point{0.05, 0.95}, Point{0.5, 0.5},
                            Point{0.95, 0.05}, Point{0.01, 0.01},
                            Point{0.99, 0.99}, Point{-3, 0.4}};
   for (const Point& q : queries) {
-    const auto got = SkylineQuery(grid, q);
-    ExpectSameSkyline(got, BruteForceSkyline(data, q), q);
-    for (ObjectId id = 2000; id < next; ++id) {
-      EXPECT_TRUE(std::any_of(got.begin(), got.end(),
-                              [&](const SkylineEntry& s) {
-                                return s.entry.id == id;
-                              }))
-          << "NaN entry " << id << " lost at q=(" << q.x << "," << q.y
-          << ")";
-    }
+    EXPECT_EQ(SkylineQuery(grid, q), BruteForceSkyline(data, q))
+        << "q=(" << q.x << "," << q.y << ")";
   }
 }
 

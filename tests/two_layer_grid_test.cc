@@ -1,6 +1,7 @@
 #include "core/two_layer_grid.h"
 
 #include <limits>
+#include <stdexcept>
 #include <tuple>
 
 #include "gtest/gtest.h"
@@ -70,18 +71,19 @@ TEST(TwoLayerGridTest, ClassAExtentBoundsTheClassAEntries) {
   grid.Build({BoxEntry{s, 8}});
   EXPECT_EQ(grid.ClassAExtent(1, 1), s);
 
-  // A NaN coordinate makes the tile's extent unbounded, on both paths.
+  // A NaN coordinate is rejected on both paths, before anything changes,
+  // so no extent ever has to bound one.
   constexpr Coord nan = std::numeric_limits<Coord>::quiet_NaN();
-  constexpr Coord inf = std::numeric_limits<Coord>::infinity();
-  const Box unbounded{-inf, -inf, inf, inf};
-  const BoxEntry odd{Box{0.3, nan, 0.4, nan}, 9};  // class A in (1,0)
-  grid.Insert(odd);
-  EXPECT_EQ(grid.ClassAExtent(1, 0), unbounded);
-  EXPECT_TRUE(grid.CheckInvariants());
-  grid.Build({BoxEntry{s, 8}, odd});
-  EXPECT_EQ(grid.ClassAExtent(1, 0), unbounded);
+  const BoxEntry odd{Box{0.3, nan, 0.4, nan}, 9};
+  EXPECT_THROW(grid.Insert(odd), std::invalid_argument);
+  EXPECT_THROW(grid.Build({BoxEntry{s, 8}, odd}), std::invalid_argument);
+  EXPECT_TRUE(grid.ClassAExtent(1, 0).IsEmpty());
   EXPECT_EQ(grid.ClassAExtent(1, 1), s);
+  EXPECT_EQ(grid.object_count(), 1u);
   EXPECT_TRUE(grid.CheckInvariants());
+  std::vector<ObjectId> ids;
+  grid.WindowQuery(kUnit, &ids);
+  EXPECT_EQ(ids, std::vector<ObjectId>{8});
 }
 
 TEST(TwoLayerGridTest, BuildMatchesIncrementalInsert) {

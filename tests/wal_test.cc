@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -517,6 +518,65 @@ TEST(DurableGridTest, DuplicateAndMissingUpdatesAreNotLogged) {
   EXPECT_FALSE(applied);
   EXPECT_EQ(fx.log->stats().appends, 0u);
   EXPECT_EQ(fx.log->next_seq(), 1u);
+}
+
+TEST(DurableGridTest, WrongBoxDeleteIsRejectedAndRecoveryStillWorks) {
+  // A delete names the box the object was inserted with. One naming
+  // another box used to be acknowledged (and logged), after which replay
+  // failed with "delete of non-live id" and the index could not restart.
+  const std::string dir = FreshDir("wal_grid_wrong_box");
+  Oracle oracle;
+  {
+    DurableFixture fx(dir);
+    oracle = fx.oracle;
+    bool applied = false;
+    ASSERT_TRUE(
+        fx.live->InsertDurable(BoxEntry{BoxFor(42), 142}, &applied).ok());
+    ASSERT_TRUE(applied);
+    oracle[142] = BoxFor(42);
+    // Unmerged (overlay) object and base object, each with another box.
+    ASSERT_TRUE(fx.live->DeleteDurable(142, BoxFor(7), &applied).ok());
+    EXPECT_FALSE(applied);
+    ASSERT_TRUE(fx.live->DeleteDurable(3, BoxFor(4), &applied).ok());
+    EXPECT_FALSE(applied);
+    EXPECT_EQ(fx.log->stats().appends, 1u);
+    EXPECT_EQ(fx.live->live_count(), oracle.size());
+  }
+  RecoverAndCheck(dir, oracle, 1);
+}
+
+TEST(DurableGridTest, NaNBoxInsertIsRejectedBeforeTheLog) {
+  const std::string dir = FreshDir("wal_grid_nan");
+  DurableFixture fx(dir);
+  const Coord nan = std::numeric_limits<Coord>::quiet_NaN();
+  bool applied = true;
+  const Status s =
+      fx.live->InsertDurable(BoxEntry{Box{0.5, nan, 0.6, 0.7}, 500}, &applied);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.message();
+  EXPECT_FALSE(applied);
+  EXPECT_EQ(fx.log->stats().appends, 0u);
+  EXPECT_EQ(fx.live->live_count(), fx.oracle.size());
+}
+
+TEST(DurableLogTest, ReplayReportsANaNBoxInsertAsCorruption) {
+  // A log written by an older build may hold such an insert; replay must
+  // report it, not throw from the grid's rejection.
+  const std::string dir = FreshDir("wal_replay_nan");
+  {
+    auto log = OpenSeeded(dir);
+    const Coord nan = std::numeric_limits<Coord>::quiet_NaN();
+    const WalRecord rec = wal::MakeOp(/*insert=*/true, log->next_seq(),
+                                      BoxEntry{Box{nan, 0.1, 0.2, 0.2}, 7});
+    ASSERT_TRUE(log->Append(rec).ok());
+    ASSERT_TRUE(log->Sync(rec.seq).ok());
+  }
+  std::unique_ptr<DurableLog> log;
+  ASSERT_TRUE(
+      DurableLog::Open(dir, DurableLog::Options{}, nullptr, &log).ok());
+  std::unique_ptr<TwoLayerGrid> grid;
+  std::uint64_t seq = 0;
+  const Status s = log->RecoverIndex(&grid, &seq);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.message();
 }
 
 TEST(DurableGridTest, AttachWalAfterAnUpdateThrows) {
