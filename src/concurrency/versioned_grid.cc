@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/radix_sort.h"
 #include "wal/durable_log.h"
 
 namespace tlp {
@@ -125,8 +126,9 @@ Status ConcurrentTwoLayerGrid::InsertDurable(const BoxEntry& entry,
   std::uint64_t seq = 0;
   DurableLog* wal = nullptr;
   {
-    if (entry.box.HasNaN()) {
-      return Status::InvalidArgument("insert: box has a NaN coordinate");
+    if (!entry.box.IsWellFormed()) {
+      return Status::InvalidArgument(
+          "insert: box is inverted or has a NaN coordinate");
     }
     MutexLock lock(writer_mu_);
     if (live_ids_.count(entry.id) != 0) return Status::OK();  // duplicate
@@ -365,8 +367,7 @@ void ConcurrentTwoLayerGrid::Snapshot::PatchAndSort(
       if (match(e.box) && (!keep || keep(e))) Add(out, e);
     }
   }
-  std::sort(out->begin(), out->end(),
-            [](const T& a, const T& b) { return IdOf(a) < IdOf(b); });
+  RadixSortBy(out, [](const T& x) { return IdOf(x); });
 }
 
 void ConcurrentTwoLayerGrid::Snapshot::WindowEntries(

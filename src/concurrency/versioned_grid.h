@@ -128,7 +128,7 @@ class ConcurrentTwoLayerGrid {
   /// Inserts `entry`. Returns false (and changes nothing) when an object
   /// with this id is already live — the sequential index's "ids are
   /// unique" contract, enforced here so delta overlay semantics stay
-  /// well-defined — or when the box has a NaN coordinate.
+  /// well-defined — or when the box is inverted or has a NaN coordinate.
   [[nodiscard]] bool Insert(const BoxEntry& entry);
 
   /// Deletes object `id` (with the box it was inserted with, as in
@@ -150,7 +150,8 @@ class ConcurrentTwoLayerGrid {
   /// fsync itself failed the op may still be visible in memory; recovery
   /// replays a consistent prefix regardless). Without an attached WAL
   /// this is exactly Insert(). *applied false with OK = duplicate id. A
-  /// box with a NaN coordinate is InvalidArgument, before the WAL sees it.
+  /// box that is inverted or has a NaN coordinate is InvalidArgument,
+  /// before the WAL sees it.
   [[nodiscard]] Status InsertDurable(const BoxEntry& entry, bool* applied);
 
   /// Delete counterpart of InsertDurable. *applied false with OK = no
@@ -252,7 +253,9 @@ class ConcurrentTwoLayerGrid {
     EntryPredicate BaseKeep(const EntryPredicate& keep) const;
     /// Turns a base probe's `out` (ids or entries) into the live result:
     /// drops touched ids, appends the inserted entries passing `match(box)`
-    /// and `keep`, and sorts by id.
+    /// and `keep`, and sorts by id with a radix sort on the 32-bit id
+    /// (common/radix_sort.h): every window and disk reply, read-only
+    /// servers included, passes through this one sort.
     template <typename T, typename Match>
     void PatchAndSort(std::vector<T>* out, Match&& match,
                       const EntryPredicate& keep) const;

@@ -12,10 +12,12 @@ namespace tlp {
 
 namespace {
 
-/// A NaN box would be stored where no query finds it: reject it up front.
-void RejectNaN(const Box& b) {
-  if (b.HasNaN()) {
-    throw std::invalid_argument("2-layer grid: box has a NaN coordinate");
+/// A NaN or inverted box would be stored in no tile, where no query finds
+/// it: reject it up front.
+void RejectIllFormed(const Box& b) {
+  if (!b.IsWellFormed()) {
+    throw std::invalid_argument(
+        "2-layer grid: box is inverted or has a NaN coordinate");
   }
 }
 
@@ -66,7 +68,7 @@ void TwoLayerGrid::RequireMutable(const char* op) const {
 void TwoLayerGrid::Build(const std::vector<BoxEntry>& entries,
                          std::size_t num_threads) {
   RequireMutable("Build");
-  for (const BoxEntry& e : entries) RejectNaN(e.box);
+  for (const BoxEntry& e : entries) RejectIllFormed(e.box);
   const std::size_t threads =
       build_internal::EffectiveBuildThreads(num_threads, entries.size());
   if (threads <= 1) {
@@ -80,7 +82,7 @@ void TwoLayerGrid::Build(const std::vector<BoxEntry>& entries,
 void TwoLayerGrid::Build(const std::vector<BoxEntry>& entries,
                          ThreadPool& pool) {
   RequireMutable("Build");
-  for (const BoxEntry& e : entries) RejectNaN(e.box);
+  for (const BoxEntry& e : entries) RejectIllFormed(e.box);
   if (pool.num_threads() <= 1) {
     BuildSequential(entries);
     return;
@@ -223,7 +225,7 @@ void TwoLayerGrid::BuildOnPool(const std::vector<BoxEntry>& entries,
 
 void TwoLayerGrid::Insert(const BoxEntry& entry) {
   RequireMutable("Insert");
-  RejectNaN(entry.box);
+  RejectIllFormed(entry.box);
   if (!InDomain(entry.box)) has_out_of_domain_ = true;
   const TileRange range = layout_.TilesFor(entry.box);
   for (std::uint32_t j = range.j0; j <= range.j1; ++j) {

@@ -48,14 +48,16 @@ class TwoLayerGrid final : public PersistentIndex {
   /// inputs fall back to one), 1 = the sequential path; tile ownership in
   /// the parallel place pass makes the built grid bit-identical for every
   /// thread count. Throws std::logic_error on a frozen (mapped-snapshot)
-  /// grid, std::invalid_argument on a NaN coordinate (changing nothing).
+  /// grid, std::invalid_argument on an inverted box or a NaN coordinate
+  /// (changing nothing).
   void Build(const std::vector<BoxEntry>& entries,
              std::size_t num_threads = 0);
   /// As above, on the caller's pool (TwoLayerPlusGrid shares one pool
   /// across both layers of its build this way).
   void Build(const std::vector<BoxEntry>& entries, ThreadPool& pool);
 
-  /// Throws std::invalid_argument on a NaN coordinate, changing nothing.
+  /// Throws std::invalid_argument on an inverted box or a NaN coordinate,
+  /// changing nothing.
   void Insert(const BoxEntry& entry) override;
 
   /// True iff object `entry.id` is stored with exactly `entry.box`

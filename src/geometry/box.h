@@ -25,10 +25,10 @@ struct Box {
   }
 
   bool IsEmpty() const { return xl > xu || yl > yu; }
-  bool HasNaN() const {
-    return std::isnan(xl) || std::isnan(yl) || std::isnan(xu) ||
-           std::isnan(yu);
-  }
+  /// True iff lower <= upper on both axes: false for an inverted box and
+  /// for any NaN coordinate alike. A degenerate box (xl == xu) is well
+  /// formed. The 2-layer grid stores only well-formed boxes.
+  bool IsWellFormed() const { return xl <= xu && yl <= yu; }
 
   Coord width() const { return xu - xl; }
   Coord height() const { return yu - yl; }

@@ -126,8 +126,8 @@ std::uint64_t LowWaterOf(const DirListing& listing, bool* has_full,
 Status ApplyOp(const WalRecord& rec, TwoLayerGrid* grid,
                std::unordered_set<ObjectId>* live) {
   if (rec.kind == RecordKind::kInsert) {
-    if (rec.entry.box.HasNaN()) {
-      return Status::Corruption("wal replay: insert of a NaN box, id " +
+    if (!rec.entry.box.IsWellFormed()) {
+      return Status::Corruption("wal replay: insert of an ill-formed box, id " +
                                 std::to_string(rec.entry.id));
     }
     if (!live->insert(rec.entry.id).second) {

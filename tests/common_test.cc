@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <set>
@@ -8,6 +10,7 @@
 #include "gtest/gtest.h"
 
 #include "common/env.h"
+#include "common/radix_sort.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -62,6 +65,73 @@ TEST(RngTest, GaussianMomentsRoughlyStandard) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.05);
   EXPECT_NEAR(sum2 / n, 1.0, 0.05);
+}
+
+/// Radix-sorts `ids` and checks the result against std::sort.
+void ExpectRadixSortsLikeStdSort(std::vector<std::uint32_t> ids) {
+  std::vector<std::uint32_t> want = ids;
+  std::sort(want.begin(), want.end());
+  RadixSortBy(&ids, [](std::uint32_t id) { return id; });
+  EXPECT_EQ(ids, want) << ids.size() << " ids";
+}
+
+TEST(RadixSortTest, TinyInputs) {
+  ExpectRadixSortsLikeStdSort({});
+  ExpectRadixSortsLikeStdSort({42});
+  ExpectRadixSortsLikeStdSort({7, 3});
+  ExpectRadixSortsLikeStdSort({3, 7});
+  ExpectRadixSortsLikeStdSort({0xFFFFFFFEu, 0});
+  ExpectRadixSortsLikeStdSort({0x01000000u, 0x00FFFFFFu, 0x00000100u});
+}
+
+TEST(RadixSortTest, EveryCountOfDigitPasses) {
+  // The keys differ in the bytes `mask` keeps, so 1, 2, 3 or 4 digit
+  // passes run (an odd count ends in the scratch buffer), including masks
+  // whose skipped digits sit below or between the varying ones.
+  Rng rng(11);
+  for (const std::uint32_t mask :
+       {0x000000FFu, 0xFF000000u, 0x0000FF00u, 0x0000FFFFu, 0xFF0000FFu,
+        0x00FFFFFFu, 0xFFFF00FFu, 0xFFFFFFFFu}) {
+    for (const std::size_t n : {3u, 255u, 256u, 257u, 1100u, 5000u}) {
+      std::vector<std::uint32_t> ids(n);
+      for (std::uint32_t& id : ids) {
+        id = 0x5A5A5A5Au ^ (static_cast<std::uint32_t>(rng.Next()) & mask);
+      }
+      ExpectRadixSortsLikeStdSort(ids);
+    }
+  }
+}
+
+TEST(RadixSortTest, FullRangeAndDuplicates) {
+  Rng rng(12);
+  std::vector<std::uint32_t> ids;
+  for (int k = 0; k < 2000; ++k) {
+    ids.push_back(static_cast<std::uint32_t>(rng.NextBelow(0xFFFFFFFFu)));
+  }
+  ids.push_back(0xFFFFFFFEu);  // kInvalidObjectId - 1, the largest id
+  ids.push_back(0);
+  ExpectRadixSortsLikeStdSort(ids);
+  std::vector<std::uint32_t> dups(ids.begin(), ids.begin() + 300);
+  dups.insert(dups.end(), ids.begin(), ids.begin() + 300);
+  dups.insert(dups.end(), 50, 0x00ABCDEFu);
+  ExpectRadixSortsLikeStdSort(dups);
+  ExpectRadixSortsLikeStdSort(std::vector<std::uint32_t>(100, 9));
+}
+
+TEST(RadixSortTest, StableByKey) {
+  // Elements with equal keys keep their input order, as std::stable_sort.
+  Rng rng(13);
+  using Item = std::pair<std::uint32_t, int>;
+  std::vector<Item> v;
+  for (int k = 0; k < 3000; ++k) {
+    v.emplace_back(static_cast<std::uint32_t>(rng.NextBelow(40)) << 20, k);
+  }
+  std::vector<Item> want = v;
+  std::stable_sort(want.begin(), want.end(), [](const Item& a, const Item& b) {
+    return a.first < b.first;
+  });
+  RadixSortBy(&v, [](const Item& x) { return x.first; });
+  EXPECT_EQ(v, want);
 }
 
 TEST(ZipfSamplerTest, RankZeroDominatesAtAlphaOne) {

@@ -27,6 +27,7 @@
 #include <limits>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -371,8 +372,128 @@ TEST(ConcurrentGridTest, InsertOfANaNBoxIsRejected) {
   ConcurrentTwoLayerGrid live(std::move(base));
   const Coord nan = std::numeric_limits<Coord>::quiet_NaN();
   EXPECT_FALSE(live.Insert(BoxEntry{Box{0.5, 0.2, nan, 0.3}, 9000}));
+  EXPECT_FALSE(live.Insert(BoxEntry{Box{0.6, 0.2, 0.4, 0.3}, 9000}))
+      << "inverted box";
   EXPECT_EQ(live.live_count(), 50u);
   EXPECT_EQ(live.published_seq(), 0u);
+  // A degenerate box (a point) stays valid, and the id was never taken.
+  EXPECT_TRUE(live.Insert(BoxEntry{Box{0.4, 0.2, 0.4, 0.2}, 9000}));
+  live.Flush();
+  std::vector<ObjectId> ids;
+  live.Acquire().WindowQuery(Box{0.39, 0.19, 0.41, 0.21}, &ids);
+  EXPECT_NE(std::find(ids.begin(), ids.end(), 9000u), ids.end());
+}
+
+void ExpectSameEntries(const std::vector<BoxEntry>& got,
+                       const std::vector<BoxEntry>& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].id, want[i].id) << what << " entry " << i;
+    ASSERT_EQ(got[i].box, want[i].box) << what << " entry " << i;
+  }
+}
+
+/// Window and disk replies of over 1,000 rows, with ids spread across all
+/// four bytes of ObjectId, equal a sorted brute force over `live_set`:
+/// every digit pass of the id sort runs, on both element types, with and
+/// without `keep`.
+void ExpectLargeRepliesSorted(const ConcurrentTwoLayerGrid::Snapshot& snap,
+                              const std::vector<BoxEntry>& live_set,
+                              const std::string& context) {
+  const EntryPredicate keep = [](const BoxEntry& e) { return e.id % 3 != 0; };
+  const auto brute = [&](auto&& hit) {
+    std::vector<BoxEntry> want;
+    for (const BoxEntry& e : live_set) {
+      if (hit(e.box)) want.push_back(e);
+    }
+    std::sort(want.begin(), want.end(),
+              [](const BoxEntry& a, const BoxEntry& b) { return a.id < b.id; });
+    return want;
+  };
+  const auto ids_of = [&](const std::vector<BoxEntry>& es, bool filter) {
+    std::vector<ObjectId> ids;
+    for (const BoxEntry& e : es) {
+      if (!filter || keep(e)) ids.push_back(e.id);
+    }
+    return ids;
+  };
+  std::vector<ObjectId> ids;
+  std::vector<BoxEntry> entries;
+  for (const Box& w : {kUnit, Box{0.05, 0.1, 0.9, 0.95}}) {
+    const std::vector<BoxEntry> want =
+        brute([&w](const Box& b) { return b.Intersects(w); });
+    ASSERT_GT(want.size(), 1000u) << context;
+    snap.WindowQuery(w, &ids);
+    EXPECT_EQ(ids, ids_of(want, false)) << context << " window";
+    snap.WindowQuery(w, &ids, keep);
+    EXPECT_EQ(ids, ids_of(want, true)) << context << " window keep";
+    snap.WindowEntries(w, &entries);
+    ExpectSameEntries(entries, want, context + " window entries");
+  }
+  const Point q{0.45, 0.55};
+  const Coord radius = 0.4;
+  const std::vector<BoxEntry> want =
+      brute([&](const Box& b) { return b.MinDistanceTo(q) <= radius; });
+  ASSERT_GT(want.size(), 1000u) << context;
+  snap.DiskQuery(q, radius, &ids);
+  EXPECT_EQ(ids, ids_of(want, false)) << context << " disk";
+  snap.DiskQuery(q, radius, &ids, keep);
+  EXPECT_EQ(ids, ids_of(want, true)) << context << " disk keep";
+  snap.DiskQueryEntries(q, radius, &entries);
+  ExpectSameEntries(entries, want, context + " disk entries");
+}
+
+TEST(ConcurrentGridTest, LargeRepliesSortIdsAcrossTheFullIdRange) {
+  // Distinct ids drawn across the whole 32-bit range, both ends included.
+  std::vector<BoxEntry> data = testing::RandomEntries(3000, 0.05, 83);
+  Rng rng(84);
+  std::unordered_set<ObjectId> used;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    ObjectId id = i == 0   ? 0
+                  : i == 1 ? kInvalidObjectId - 1
+                           : static_cast<ObjectId>(
+                                 rng.NextBelow(kInvalidObjectId));
+    while (!used.insert(id).second) {
+      id = static_cast<ObjectId>(rng.NextBelow(kInvalidObjectId));
+    }
+    data[i].id = id;
+  }
+  const std::vector<BoxEntry> base_data(data.begin(), data.begin() + 2500);
+  TwoLayerGrid plain(Layout());
+  plain.Build(base_data);
+  ExpectLargeRepliesSorted(ConcurrentTwoLayerGrid::Snapshot::Of(plain),
+                           base_data, "read-only");
+
+  ConcurrentTwoLayerGrid::Options opts;
+  opts.merge_threshold = 1u << 20;  // keep every op in the overlay
+  TwoLayerGrid base(Layout());
+  base.Build(base_data);
+  ConcurrentTwoLayerGrid live(std::move(base), opts);
+  ExpectLargeRepliesSorted(live.Acquire(), base_data, "empty overlay");
+
+  // Touch base ids (delete; delete and re-insert with another box) and
+  // insert fresh ids, all left unmerged.
+  std::unordered_map<ObjectId, BoxEntry> live_set;
+  for (const BoxEntry& e : base_data) live_set.emplace(e.id, e);
+  for (std::size_t i = 0; i < 300; ++i) {
+    ASSERT_TRUE(live.Delete(data[i].id, data[i].box));
+    live_set.erase(data[i].id);
+    if (i % 2 == 0) {
+      const BoxEntry moved{data[2999 - i].box, data[i].id};
+      ASSERT_TRUE(live.Insert(moved));
+      live_set.emplace(moved.id, moved);
+    }
+  }
+  for (std::size_t i = 2500; i < 2800; ++i) {
+    ASSERT_TRUE(live.Insert(data[i]));
+    live_set.emplace(data[i].id, data[i]);
+  }
+  const ConcurrentTwoLayerGrid::Snapshot snap = live.Acquire();
+  ASSERT_EQ(snap.overlay_size(), 600u);
+  std::vector<BoxEntry> expected;
+  for (const auto& [id, e] : live_set) expected.push_back(e);
+  ExpectLargeRepliesSorted(snap, expected, "overlay");
 }
 
 TEST(ConcurrentGridTest, SnapshotOutlivesSupersedingMerge) {

@@ -745,6 +745,35 @@ TEST(LiveServerTest, ReadOnlyServerRejectsUpdates) {
   EXPECT_EQ(server.counters().updates_applied, 0u);
 }
 
+TEST(LiveServerTest, InsertOfAnInvertedBoxIsAnEvalError) {
+  TwoLayerGrid base(GridLayout(Box{0, 0, 1, 1}, 16, 16));
+  base.Build({BoxEntry{Box{0.1, 0.1, 0.2, 0.2}, 1}});
+  ConcurrentTwoLayerGrid live(std::move(base));
+  QueryServer server(live, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  QueryClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  // xl > xu: such a box would be stored in no tile and lost at the merge.
+  Reply reply;
+  ASSERT_TRUE(client.Execute("INSERT 7 0.6 0.2 0.4 0.3", &reply).ok());
+  ASSERT_EQ(reply.kind, Reply::Kind::kErr);
+  EXPECT_EQ(reply.error_class, "eval");
+  EXPECT_EQ(reply.error_offset, 0u);
+  EXPECT_EQ(live.live_count(), 1u);
+
+  live.Flush();
+  ASSERT_TRUE(client.Execute("SELECT WINDOW 0 0 1 1", &reply).ok());
+  ASSERT_EQ(reply.kind, Reply::Kind::kOk);
+  EXPECT_EQ(reply.rows, std::vector<std::string>{"1"});
+  // The id was never taken: a proper box under it applies.
+  ASSERT_TRUE(client.Execute("INSERT 7 0.4 0.2 0.6 0.3", &reply).ok());
+  ASSERT_EQ(reply.kind, Reply::Kind::kOk);
+  EXPECT_EQ(reply.rows, std::vector<std::string>{"1"});
+  server.Shutdown();
+  EXPECT_EQ(server.counters().updates_applied, 1u);
+}
+
 TEST(LiveServerTest, ConcurrentUpdatesAndReadsOverTheWire) {
   TwoLayerGrid base(GridLayout(Box{0, 0, 1, 1}, 8, 8));
   base.Build(testing::RandomEntries(300, 0.03, 994));

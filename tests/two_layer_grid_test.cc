@@ -71,12 +71,16 @@ TEST(TwoLayerGridTest, ClassAExtentBoundsTheClassAEntries) {
   grid.Build({BoxEntry{s, 8}});
   EXPECT_EQ(grid.ClassAExtent(1, 1), s);
 
-  // A NaN coordinate is rejected on both paths, before anything changes,
-  // so no extent ever has to bound one.
+  // A NaN coordinate or an inverted box (stored in no tile, so lost) is
+  // rejected on both paths, before anything changes, so no extent ever
+  // has to bound one.
   constexpr Coord nan = std::numeric_limits<Coord>::quiet_NaN();
-  const BoxEntry odd{Box{0.3, nan, 0.4, nan}, 9};
-  EXPECT_THROW(grid.Insert(odd), std::invalid_argument);
-  EXPECT_THROW(grid.Build({BoxEntry{s, 8}, odd}), std::invalid_argument);
+  for (const BoxEntry& odd : {BoxEntry{Box{0.3, nan, 0.4, nan}, 9},
+                              BoxEntry{Box{0.6, 0.2, 0.4, 0.3}, 9},
+                              BoxEntry{Box{0.3, 0.4, 0.4, 0.2}, 9}}) {
+    EXPECT_THROW(grid.Insert(odd), std::invalid_argument);
+    EXPECT_THROW(grid.Build({BoxEntry{s, 8}, odd}), std::invalid_argument);
+  }
   EXPECT_TRUE(grid.ClassAExtent(1, 0).IsEmpty());
   EXPECT_EQ(grid.ClassAExtent(1, 1), s);
   EXPECT_EQ(grid.object_count(), 1u);

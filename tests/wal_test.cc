@@ -549,34 +549,39 @@ TEST(DurableGridTest, NaNBoxInsertIsRejectedBeforeTheLog) {
   const std::string dir = FreshDir("wal_grid_nan");
   DurableFixture fx(dir);
   const Coord nan = std::numeric_limits<Coord>::quiet_NaN();
-  bool applied = true;
-  const Status s =
-      fx.live->InsertDurable(BoxEntry{Box{0.5, nan, 0.6, 0.7}, 500}, &applied);
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.message();
-  EXPECT_FALSE(applied);
-  EXPECT_EQ(fx.log->stats().appends, 0u);
-  EXPECT_EQ(fx.live->live_count(), fx.oracle.size());
+  // An inverted box is rejected alike: it would be stored in no tile.
+  for (const Box& box : {Box{0.5, nan, 0.6, 0.7}, Box{0.6, 0.2, 0.4, 0.3}}) {
+    bool applied = true;
+    const Status s = fx.live->InsertDurable(BoxEntry{box, 500}, &applied);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.message();
+    EXPECT_FALSE(applied);
+    EXPECT_EQ(fx.log->stats().appends, 0u);
+    EXPECT_EQ(fx.live->live_count(), fx.oracle.size());
+  }
 }
 
 TEST(DurableLogTest, ReplayReportsANaNBoxInsertAsCorruption) {
-  // A log written by an older build may hold such an insert; replay must
-  // report it, not throw from the grid's rejection.
-  const std::string dir = FreshDir("wal_replay_nan");
-  {
-    auto log = OpenSeeded(dir);
-    const Coord nan = std::numeric_limits<Coord>::quiet_NaN();
-    const WalRecord rec = wal::MakeOp(/*insert=*/true, log->next_seq(),
-                                      BoxEntry{Box{nan, 0.1, 0.2, 0.2}, 7});
-    ASSERT_TRUE(log->Append(rec).ok());
-    ASSERT_TRUE(log->Sync(rec.seq).ok());
+  // A log written by an older build may hold such an insert (or one of an
+  // inverted box); replay must report it, not throw from the grid's
+  // rejection.
+  const Coord nan = std::numeric_limits<Coord>::quiet_NaN();
+  for (const Box& box : {Box{nan, 0.1, 0.2, 0.2}, Box{0.1, 0.3, 0.2, 0.2}}) {
+    const std::string dir = FreshDir("wal_replay_nan");
+    {
+      auto log = OpenSeeded(dir);
+      const WalRecord rec =
+          wal::MakeOp(/*insert=*/true, log->next_seq(), BoxEntry{box, 7});
+      ASSERT_TRUE(log->Append(rec).ok());
+      ASSERT_TRUE(log->Sync(rec.seq).ok());
+    }
+    std::unique_ptr<DurableLog> log;
+    ASSERT_TRUE(
+        DurableLog::Open(dir, DurableLog::Options{}, nullptr, &log).ok());
+    std::unique_ptr<TwoLayerGrid> grid;
+    std::uint64_t seq = 0;
+    const Status s = log->RecoverIndex(&grid, &seq);
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.message();
   }
-  std::unique_ptr<DurableLog> log;
-  ASSERT_TRUE(
-      DurableLog::Open(dir, DurableLog::Options{}, nullptr, &log).ok());
-  std::unique_ptr<TwoLayerGrid> grid;
-  std::uint64_t seq = 0;
-  const Status s = log->RecoverIndex(&grid, &seq);
-  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.message();
 }
 
 TEST(DurableGridTest, AttachWalAfterAnUpdateThrows) {
